@@ -66,6 +66,12 @@ type Experiment struct {
 	// first contact and drives profiling and every evaluation pass from
 	// replay. Artifacts are byte-identical to a live run.
 	Trace sim.TraceConfig
+	// Profiles, when non-nil, memoizes the profiling pass across
+	// experiments: a profile already held for this workload's train input
+	// and profiling configuration is reused instead of recomputed, and a
+	// fresh one is stored. Results are byte-identical either way. The
+	// placement service shares one memo across its jobs.
+	Profiles *ProfileMemo
 
 	// Ledger, when non-nil, receives structured run events as the
 	// experiment executes: workload start/end, per-stage spans, the
@@ -81,10 +87,11 @@ type Experiment struct {
 	// OnSpan, when non-nil, observes each completed pipeline stage —
 	// fired exactly where the ledger's span events are emitted (profile,
 	// place, then one per evaluation unit), with the same start/wall
-	// interval. label is "" for profile/place and "input/layout" for
-	// eval units. Like OnStage it may fire from worker goroutines, and
-	// like the ledger it is observation-only: results are byte-identical
-	// with or without it. The service's span recorder hangs off this.
+	// interval. label is "input/layout" for eval units, SpanLabelMemo for
+	// a profile served from Profiles, and "" otherwise. Like OnStage it
+	// may fire from worker goroutines, and like the ledger it is
+	// observation-only: results are byte-identical with or without it.
+	// The service's span recorder hangs off this.
 	OnSpan SpanFunc
 
 	// Context, when non-nil, cancels the experiment: RunExperiment
@@ -160,12 +167,12 @@ func RunExperiment(e Experiment) (*Comparison, error) {
 	}
 	e.stage(w.Name(), metrics.StageProfile)
 	profStart := time.Now()
-	pr, err := profilePass(store, w, opts)
+	pr, profLabel, err := e.profile(store, w, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling %s: %w", w.Name(), err)
 	}
 	e.Ledger.Span(w.Name(), metrics.StageProfile.String(), profStart, time.Since(profStart))
-	e.span(w.Name(), metrics.StageProfile, "", profStart)
+	e.span(w.Name(), metrics.StageProfile, profLabel, profStart)
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s cancelled before placement: %w", w.Name(), err)
@@ -354,6 +361,24 @@ func ledgerEval(res *sim.EvalResult) ledger.Eval {
 		})
 	}
 	return ev
+}
+
+// profile returns the train input's profile and its span label: from
+// e.Profiles when it holds one for this key, otherwise from a fresh pass
+// that is then stored. A hit still times a (near-empty) profile stage on
+// the collector, so stage counts do not depend on the memo.
+func (e *Experiment) profile(store *sim.TraceStore, w workload.Workload, opts sim.Options) (*sim.ProfileResult, string, error) {
+	key := profileKeyOf(w, opts)
+	if pr := e.Profiles.get(key); pr != nil {
+		opts.Metrics.Start(metrics.StageProfile).Stop()
+		return pr, SpanLabelMemo, nil
+	}
+	pr, err := profilePass(store, w, opts)
+	if err != nil {
+		return nil, "", err
+	}
+	e.Profiles.put(key, pr)
+	return pr, "", nil
 }
 
 // profilePass profiles the train input, live or from the trace store.

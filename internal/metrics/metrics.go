@@ -102,6 +102,11 @@ const (
 	// ServerJobsEvicted counts terminal jobs dropped from the registry by
 	// the retention cap (their IDs 404 afterwards).
 	ServerJobsEvicted
+	// ProfileMemoHits counts experiments whose train-input profile a
+	// server-scoped core.ProfileMemo served; ProfileMemoMisses counts the
+	// lookups that had to run the profiling pass.
+	ProfileMemoHits
+	ProfileMemoMisses
 
 	NumCounters int = iota
 )
@@ -135,6 +140,8 @@ var counterNames = [NumCounters]string{
 	ServerJobsFailed:       "server.jobs_failed",
 	ServerJobsCancelled:    "server.jobs_cancelled",
 	ServerJobsEvicted:      "server.jobs_evicted",
+	ProfileMemoHits:        "profile.memo_hits",
+	ProfileMemoMisses:      "profile.memo_misses",
 }
 
 // String returns the counter's export name.

@@ -20,14 +20,23 @@ type Graceful struct {
 	ln  net.Listener
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold sockets open.
+const readHeaderTimeout = 10 * time.Second
+
 // Listen starts serving h on addr in a background goroutine and returns
 // the running listener.
 func Listen(addr string, h http.Handler) (*Graceful, error) {
+	return listen(addr, h, readHeaderTimeout)
+}
+
+// listen is Listen with the header timeout as a parameter.
+func listen(addr string, h http.Handler, headerTimeout time.Duration) (*Graceful, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	g := &Graceful{srv: &http.Server{Handler: h}, ln: ln}
+	g := &Graceful{srv: &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout}, ln: ln}
 	go func() {
 		// ErrServerClosed is the normal shutdown signal; anything else
 		// surfaces through Close's Shutdown error.

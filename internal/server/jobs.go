@@ -275,8 +275,8 @@ func (m *Manager) run(j *Job, wmc *metrics.Collector) {
 }
 
 // finish moves the job to a terminal state exactly once: it seals the
-// ledger, stamps the finish time, bumps the outcome counter, and closes
-// the done channel.
+// ledger, stamps the finish time, bumps the outcome counter, applies
+// retention, and closes the done channel.
 func (m *Manager) finish(j *Job, state JobState, result []byte, err error) {
 	m.finishFrom(j, "", state, result, err)
 }
@@ -320,8 +320,10 @@ func (m *Manager) finishFrom(j *Job, from, state JobState, result []byte, err er
 	case StateCancelled:
 		m.mc.Add(metrics.ServerJobsCancelled, 1)
 	}
-	close(j.done)
+	// Trim the registry before waking waiters, so a client told the job
+	// finished already sees retention applied.
 	m.evict()
+	close(j.done)
 }
 
 // jobTrace converts the job's recorded span tree into the ledger's

@@ -44,6 +44,7 @@ func (s *Server) execute(ctx context.Context, j *Job, wmc *metrics.Collector) ([
 		Layouts:  layoutKinds(req.Layouts),
 		Inputs:   selectInputs(w, req.Scale, req.Inputs),
 		Trace:    s.cfg.Trace,
+		Profiles: s.profiles,
 		Ledger:   j.lw,
 		OnStage:  j.observeStage,
 		OnSpan:   j.rec.SpanDone,

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/benchsuite"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -74,6 +75,9 @@ type Server struct {
 	mc  *metrics.Collector
 	mgr *Manager
 	mux *http.ServeMux
+	// profiles memoizes profiling passes across the server's eval, place
+	// and explain jobs for its whole lifetime.
+	profiles *core.ProfileMemo
 }
 
 // New builds a Server; it does not listen (callers mount Handler on a
@@ -97,7 +101,7 @@ func New(cfg Config) *Server {
 	if cfg.RetainJobs == 0 {
 		cfg.RetainJobs = 256
 	}
-	s := &Server{cfg: cfg, mc: cfg.Metrics}
+	s := &Server{cfg: cfg, mc: cfg.Metrics, profiles: core.NewProfileMemo(cfg.Metrics)}
 	s.mgr = newManager(s)
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -187,15 +191,25 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// maxRequestBytes caps a POST /v1/jobs body. The largest legitimate
+// request, a sweep grid at the cell limit, is a few KiB.
+const maxRequestBytes = 1 << 20
+
 // handleSubmit accepts a job. The default reply is 202 with the job's
 // status; ?wait=true ties the job to the request — the handler blocks
 // until the job finishes and replies with its final status, and a client
-// that disconnects while waiting cancels the job.
+// that disconnects while waiting cancels the job. A body above
+// maxRequestBytes is refused with 413 before any job exists.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body above %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

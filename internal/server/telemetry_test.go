@@ -492,6 +492,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"ccdp_server_jobs_submitted_total 1",
 		"ccdp_server_jobs_done_total 1",
+		"ccdp_profile_memo_misses_total 1",
 		"ccdp_server_requests_total ",
 		"ccdp_go_goroutines ",
 		`ccdp_server_request_ns_bucket{le="+Inf"} `,

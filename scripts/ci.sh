@@ -164,6 +164,8 @@ grep -q '^event: span' /tmp/ccdpd-events.txt || { echo "SSE stream had no span e
 curl -sf "http://127.0.0.1:18344/v1/jobs/$id/trace" | grep -q '"stage": *"job"' || { echo "trace endpoint missing job root span" >&2; exit 1; }
 curl -sf http://127.0.0.1:18344/metrics > /tmp/ccdpd-metrics.txt
 grep -q '^ccdp_server_jobs_done_total [0-9]' /tmp/ccdpd-metrics.txt || { echo "/metrics missing jobs_done counter" >&2; exit 1; }
+# The repeated job must have reused the first one's profile.
+grep -Eq '^ccdp_profile_memo_hits_total [1-9]' /tmp/ccdpd-metrics.txt || { echo "/metrics shows no profile memo hit after a repeated job" >&2; exit 1; }
 awk '!/^#/ && NF != 2 { print "unparseable exposition line: " $0; bad = 1 } END { exit bad }' /tmp/ccdpd-metrics.txt || { echo "/metrics failed the parse check" >&2; exit 1; }
 kill -TERM "$dpid"
 wait "$dpid" || { echo "ccdpd exited non-zero on SIGTERM" >&2; exit 1; }
