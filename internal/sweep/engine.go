@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -970,13 +971,44 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 	return groups, memberOf, acct, nil
 }
 
+// assignGroups splits group indices across workers by longest processing
+// time first: the heaviest group (ties to the lower index) goes onto the
+// least-loaded worker (ties to the lower worker). Each worker's list is
+// ascending, so a single worker replays the groups in their build order.
+// Weights are skewed in practice: every natural cell of a sweep shares
+// one group, while each CCDP cell carves its own placement.
+func assignGroups(weights []int, workers int) [][]int {
+	order := make([]int, len(weights))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
+	plan := make([][]int, workers)
+	load := make([]int, workers)
+	for _, g := range order {
+		w := 0
+		for i := 1; i < workers; i++ {
+			if load[i] < load[w] {
+				w = i
+			}
+		}
+		plan[w] = append(plan[w], g)
+		load[w] += weights[g]
+	}
+	for _, p := range plan {
+		sort.Ints(p)
+	}
+	return plan
+}
+
 // RunShared executes the sweep on the decode-once/eval-many engine: prep
 // streams just-in-time (profiles broadcast off one train decode,
 // placements batched per profile and released behind their layouts), then
 // one replay of the test trace feeds every layout group. parallel bounds
-// the worker count (clamped to the group count); each worker owns a
-// contiguous range of groups, so results are identical at any
-// parallelism.
+// the worker count (clamped to the group count). assignGroups balances
+// the groups across workers by cost; each group is replayed by exactly
+// one worker, in batch order, and groups share no state, so results are
+// identical at any parallelism.
 func (p *Prep) RunShared(parallel int) (*Result, error) {
 	mc := p.req.Options.Metrics
 	span := mc.Start(metrics.StageSweep)
@@ -1009,19 +1041,19 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 	if workers > len(groups) {
 		workers = len(groups)
 	}
-	// Contiguous group ranges per worker: worker w evaluates
-	// [w*per, min((w+1)*per, n)).
-	per := (len(groups) + workers - 1) / workers
+	// A group's replay cost: one address resolution per record plus one
+	// simulator step per member.
+	weights := make([]int, len(groups))
+	for i, g := range groups {
+		weights[i] = 1 + len(g.members)
+	}
+	plan := assignGroups(weights, workers)
 
 	fl := exec.NewFreeList(streamDepth+4, func() *batch {
 		return &batch{recs: make([]rec, 0, batchSize)}
 	})
 	st := exec.NewStream(workers, streamDepth, func(w int, b *batch) {
-		lo, hi := w*per, (w+1)*per
-		if hi > len(groups) {
-			hi = len(groups)
-		}
-		for i := lo; i < hi; i++ {
+		for _, i := range plan[w] {
 			groups[i].process(b.recs)
 		}
 		if b.pending.Add(-1) == 0 {

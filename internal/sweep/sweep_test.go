@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,7 @@ import (
 
 // smallRequest builds a sweep request over a reduced-scale workload with
 // in-memory traces (no store directory), the shape every test here uses.
-func smallRequest(t *testing.T, name string, frac float64, g Grid) Request {
+func smallRequest(t testing.TB, name string, frac float64, g Grid) Request {
 	t.Helper()
 	w, err := workload.Get(name)
 	if err != nil {
@@ -37,7 +38,7 @@ func smallRequest(t *testing.T, name string, frac float64, g Grid) Request {
 	return Request{Workload: w, Train: train, Test: test, Grid: g, Options: opts}
 }
 
-func mustPrep(t *testing.T, req Request) *Prep {
+func mustPrep(t testing.TB, req Request) *Prep {
 	t.Helper()
 	p, err := NewPrep(req)
 	if err != nil {
@@ -49,8 +50,9 @@ func mustPrep(t *testing.T, req Request) *Prep {
 // TestSharedMatchesIndependent is the engine's differential gate: every
 // grid cell of a shared-decode run must be byte-identical (through the
 // persisted result encoding) to an independent per-cell replay, at
-// parallelism 1 and 4, across geometry, profiling, layout, and
-// hierarchy axes.
+// parallelism 1, 2, 3, 4 and one more than the group count (uneven
+// worker loads, then idle workers clamped away), across geometry,
+// profiling, layout, and hierarchy axes.
 func TestSharedMatchesIndependent(t *testing.T) {
 	g := Grid{
 		Sizes:   []int64{4096, 8192},
@@ -70,7 +72,43 @@ func TestSharedMatchesIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
+	groups := len(cellGroupWeights(p))
+	for _, par := range []int{1, 2, 3, 4, groups + 1} {
+		shared, err := p.RunShared(par)
+		if err != nil {
+			t.Fatalf("parallel %d: %v", par, err)
+		}
+		if shared.Groups != groups {
+			t.Fatalf("parallel %d: %d groups, want %d", par, shared.Groups, groups)
+		}
+		if err := DiffResults(shared, ind); err != nil {
+			t.Fatalf("parallel %d: %v", par, err)
+		}
+	}
+}
+
+// TestSharedMatchesIndependentSkewedGroups runs the differential gate on
+// the benchmark's shape of grid: every natural cell in one many-member
+// layout group beside single-member CCDP groups, so the worker loads
+// assignGroups balances are far from equal.
+func TestSharedMatchesIndependentSkewedGroups(t *testing.T) {
+	g := Grid{
+		Sizes:   []int64{4096, 8192},
+		Assocs:  []int{1, 2},
+		Blocks:  []int64{32, 64},
+		Layouts: []string{"natural", "ccdp"},
+	}
+	p := mustPrep(t, smallRequest(t, "compress", 0.05, g))
+	want := []int{9, 2, 2, 2, 2, 2, 2, 2, 2} // natural group first: layouts vary fastest
+	if weights := cellGroupWeights(p); !reflect.DeepEqual(weights, want) {
+		t.Fatalf("group weights %v, want %v", weights, want)
+	}
+
+	ind, err := p.RunIndependent(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{2, 3} {
 		shared, err := p.RunShared(par)
 		if err != nil {
 			t.Fatalf("parallel %d: %v", par, err)
