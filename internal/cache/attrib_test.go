@@ -42,11 +42,15 @@ func driveStream(t testing.TB, s *Sim, n int, seed uint64) {
 // TestAttributionDoesNotChangeStats is the differential guarantee the
 // -explain-misses flag rests on: with attribution attached, every
 // simulator statistic is byte-identical to a run without it, across every
-// policy combination.
+// policy combination. Attribution forces the general touchBlock path, so
+// the policy-free geometries also hold the fast path to it.
 func TestAttributionDoesNotChangeStats(t *testing.T) {
 	configs := []Config{
 		{Size: 8 * 1024, BlockSize: 32, Assoc: 1},
 		{Size: 8 * 1024, BlockSize: 32, Assoc: 2},
+		{Size: 8 * 1024, BlockSize: 32, Assoc: 4},
+		{Size: 8 * 1024, BlockSize: 32, Assoc: 8},
+		{Size: 8 * 1024, BlockSize: 64, Assoc: 2},
 		{Size: 4 * 1024, BlockSize: 64, Assoc: 1, Prefetch: true},
 		{Size: 8 * 1024, BlockSize: 32, Assoc: 1, WriteBack: true},
 		{Size: 8 * 1024, BlockSize: 32, Assoc: 1, VictimEntries: 4},

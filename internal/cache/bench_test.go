@@ -30,28 +30,39 @@ func driveTouches(s *Sim, rounds int) {
 	}
 }
 
+// BenchmarkTouchBlock times driveTouches per geometry on the policy-free
+// fast path and, with attribution attached, on the general touchBlock
+// path.
 func BenchmarkTouchBlock(b *testing.B) {
 	for _, cfg := range touchConfigs() {
-		b.Run(fmt.Sprintf("%dw", cfg.Assoc), func(b *testing.B) {
-			s, err := New(cfg, false)
-			if err != nil {
-				b.Fatal(err)
+		for _, attr := range []bool{false, true} {
+			name := fmt.Sprintf("%dw", cfg.Assoc)
+			if attr {
+				name += "-attr"
 			}
-			s.PresizeObjects(2)
-			driveTouches(s, 1) // warm past cold fill
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				driveTouches(s, 1)
-			}
-		})
+			b.Run(name, func(b *testing.B) {
+				s, err := New(cfg, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if attr {
+					s.SetAttribution(NewAttribution(cfg, 0))
+				}
+				s.PresizeObjects(2)
+				driveTouches(s, 1) // warm past cold fill
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					driveTouches(s, 1)
+				}
+			})
+		}
 	}
 }
 
-// TestTouchBlockZeroAlloc pins the satellite guarantee: after construction
-// and object pre-sizing, steady-state accesses allocate nothing — the way
-// slices are carved from one backing array at full capacity, so the
-// cold-fill append in touchBlock never grows them.
+// TestTouchBlockZeroAlloc pins that after construction and object
+// pre-sizing, steady-state accesses on the policy-free path allocate
+// nothing: every line lives in the one array New allocates.
 func TestTouchBlockZeroAlloc(t *testing.T) {
 	for _, cfg := range touchConfigs() {
 		t.Run(fmt.Sprintf("%dw", cfg.Assoc), func(t *testing.T) {

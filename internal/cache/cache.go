@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addrspace"
 	"repro/internal/object"
@@ -51,7 +52,7 @@ var DefaultConfig = Config{Size: 8 * 1024, BlockSize: 32, Assoc: 1}
 // Validate checks the geometry for consistency. The block size and the
 // number of sets must be powers of two (they index address bits); the
 // total size need not be — 3-way caches like the 21164's 96 KB S-cache
-// are legal.
+// are legal. A way must hold at least minWayBytes (see lineValid).
 func (c Config) Validate() error {
 	if !addrspace.IsPow2(c.BlockSize) {
 		return fmt.Errorf("cache: block size %d must be a power of two", c.BlockSize)
@@ -67,6 +68,9 @@ func (c Config) Validate() error {
 	}
 	if c.Size != int64(c.Sets())*c.BlockSize*int64(c.Assoc) {
 		return fmt.Errorf("cache: size %d is not sets*block*assoc", c.Size)
+	}
+	if c.Size/int64(c.Assoc) < minWayBytes {
+		return fmt.Errorf("cache: %d-byte ways are below the %d-byte minimum", c.Size/int64(c.Assoc), minWayBytes)
 	}
 	return nil
 }
@@ -167,18 +171,19 @@ type Sim struct {
 	cfg       Config
 	setShift  uint // log2(block size)
 	setMask   uint64
+	tagShift  uint // log2(sets)
 	stats     Stats
 	objMisses []uint64 // per-object misses, indexed by object.ID
 	objRefs   []uint64 // per-object accesses
 
-	// direct-mapped fast path
-	dmTags     []uint64
-	dmValid    []bool
-	dmDirty    []bool
-	dmPrefetch []bool // block arrived via prefetch, not yet demanded
+	// lines holds Sets*Assoc packed lines, set by set, each set's
+	// resident blocks MRU first (see lineValid); direct-mapped is 1-way.
+	lines []uint64
 
-	// associative path: per-set entries in LRU order (front = MRU)
-	sets [][]wayEntry
+	// plain is set when no optional policy is on: no classification,
+	// victim cache, prefetch, write-back or attribution. access then runs
+	// the LRU update inline instead of through touchBlock.
+	plain bool
 
 	classify   bool
 	seenBlocks map[uint64]struct{}
@@ -191,6 +196,20 @@ type Sim struct {
 	attr *Attribution
 }
 
+// A line packs a resident block's tag — its block number shifted right
+// past the set index, which the line's position already holds — above
+// three state bits; an all-zero line is empty. Validate's minWayBytes
+// floor keeps every tag, even that of a prefetch one block past the top
+// of the address space, within the 61 bits above the state bits, so
+// distinct blocks never alias.
+const (
+	lineValid = 1 << iota
+	lineDirty
+	linePrefetched
+	lineStateBits = iota
+	minWayBytes   = 2 << lineStateBits // smallest legal sets x block size
+)
+
 // New constructs a simulator; classify enables three-C miss classification
 // (it costs a shadow cache and a seen-block set, so benches that only need
 // miss rates leave it off).
@@ -198,30 +217,11 @@ func New(cfg Config, classify bool) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{cfg: cfg, classify: classify}
+	s := &Sim{cfg: cfg, classify: classify, lines: make([]uint64, cfg.Lines())}
 	s.stats.Config = cfg
-	shift := uint(0)
-	for bs := cfg.BlockSize; bs > 1; bs >>= 1 {
-		shift++
-	}
-	s.setShift = shift
+	s.setShift = uint(bits.TrailingZeros64(uint64(cfg.BlockSize)))
 	s.setMask = uint64(cfg.Sets() - 1)
-	if cfg.Assoc == 1 {
-		s.dmTags = make([]uint64, cfg.Sets())
-		s.dmValid = make([]bool, cfg.Sets())
-		s.dmDirty = make([]bool, cfg.Sets())
-		s.dmPrefetch = make([]bool, cfg.Sets())
-	} else {
-		// One backing array for every set's ways: each set slice starts at
-		// len 0 with cap Assoc (full-slice expression pins the cap), so
-		// touchBlock's cold-fill append never allocates and neighbouring
-		// sets stay cache-adjacent.
-		backing := make([]wayEntry, cfg.Sets()*cfg.Assoc)
-		s.sets = make([][]wayEntry, cfg.Sets())
-		for i := range s.sets {
-			s.sets[i] = backing[i*cfg.Assoc : i*cfg.Assoc : (i+1)*cfg.Assoc]
-		}
-	}
+	s.tagShift = uint(bits.TrailingZeros64(uint64(cfg.Sets())))
 	if classify {
 		s.seenBlocks = make(map[uint64]struct{})
 		s.shadow = newLRUShadow(int(cfg.Size / cfg.BlockSize))
@@ -229,7 +229,13 @@ func New(cfg Config, classify bool) (*Sim, error) {
 	if cfg.VictimEntries > 0 {
 		s.victim = newLRUShadow(cfg.VictimEntries)
 	}
+	s.setPlain()
 	return s, nil
+}
+
+// setPlain re-derives whether access may take the policy-free path.
+func (s *Sim) setPlain() {
+	s.plain = !s.classify && s.victim == nil && !s.cfg.Prefetch && !s.cfg.WriteBack && s.attr == nil
 }
 
 // Config returns the simulated geometry.
@@ -238,7 +244,10 @@ func (s *Sim) Config() Config { return s.cfg }
 // SetAttribution attaches a miss-attribution sink (nil detaches). The sink
 // only observes the simulation: every Stats field is byte-identical with
 // attribution on or off.
-func (s *Sim) SetAttribution(a *Attribution) { s.attr = a }
+func (s *Sim) SetAttribution(a *Attribution) {
+	s.attr = a
+	s.setPlain()
+}
 
 // Attribution returns the attached attribution sink (nil when off).
 func (s *Sim) Attribution() *Attribution { return s.attr }
@@ -276,10 +285,36 @@ func (s *Sim) access(addr addrspace.Addr, size int64, cat object.Category, obj o
 	s.growObj(obj)
 	s.objRefs[obj]++
 
-	dirty := write && s.cfg.WriteBack
 	missed := 0
 	first := uint64(addr) >> s.setShift
 	last := uint64(addr+addrspace.Addr(size)-1) >> s.setShift
+	if s.plain {
+		for blk := first; blk <= last; blk++ {
+			ways, key := s.ways(blk), s.lineKey(blk)
+			if ways[0] == key {
+				continue
+			}
+			i := 1
+			for i < len(ways) && ways[i] != key {
+				i++
+			}
+			if i == len(ways) {
+				missed++
+				i-- // the LRU line drops out
+			}
+			for ; i > 0; i-- {
+				ways[i] = ways[i-1]
+			}
+			ways[0] = key
+		}
+		if missed > 0 {
+			s.stats.Misses += uint64(missed)
+			s.stats.CategoryMisses[cat] += uint64(missed)
+			s.objMisses[obj] += uint64(missed)
+		}
+		return missed
+	}
+	dirty := write && s.cfg.WriteBack
 	for blk := first; blk <= last; blk++ {
 		hit, wasPrefetch, evicted, evictedOK := s.touchBlock(blk, dirty, false)
 		s.attr.access(blk)
@@ -345,22 +380,21 @@ func (s *Sim) PresizeObjects(n int) {
 }
 
 func (s *Sim) growObj(obj object.ID) {
-	if int(obj) >= len(s.objRefs) {
-		n := int(obj) + 1
-		refs := make([]uint64, n+n/2)
-		copy(refs, s.objRefs)
-		s.objRefs = refs
-		misses := make([]uint64, n+n/2)
-		copy(misses, s.objMisses)
-		s.objMisses = misses
+	if n := int(obj) + 1; n > len(s.objRefs) {
+		s.PresizeObjects(n + n/2)
 	}
 }
 
-// wayEntry is one resident block in an associative set.
-type wayEntry struct {
-	tag        uint64
-	dirty      bool
-	prefetched bool
+// ways returns the lines of blk's set, MRU first.
+func (s *Sim) ways(blk uint64) []uint64 {
+	a := s.cfg.Assoc
+	i := int(blk&s.setMask) * a
+	return s.lines[i : i+a : i+a]
+}
+
+// lineKey is the clean, valid line holding blk.
+func (s *Sim) lineKey(blk uint64) uint64 {
+	return blk>>s.tagShift<<lineStateBits | lineValid
 }
 
 // touchBlock simulates one block reference. dirty marks the block dirty
@@ -369,57 +403,35 @@ type wayEntry struct {
 // prefetch and is being demanded for the first time, and — on a miss that
 // displaced a resident block — the evicted block number.
 func (s *Sim) touchBlock(blk uint64, dirty, prefetched bool) (hit, wasPrefetch bool, evicted uint64, evictedOK bool) {
-	set := blk & s.setMask
-	tag := blk // full block number doubles as the tag
-	if s.dmTags != nil {
-		if s.dmValid[set] && s.dmTags[set] == tag {
-			wasPrefetch = s.dmPrefetch[set] && !prefetched
-			if !prefetched {
-				s.dmPrefetch[set] = false
-			}
-			s.dmDirty[set] = s.dmDirty[set] || dirty
-			return true, wasPrefetch, 0, false
+	ways, line := s.ways(blk), s.lineKey(blk)
+	i := 0
+	for i < len(ways) && ways[i]&^(lineDirty|linePrefetched) != line {
+		i++
+	}
+	if hit = i < len(ways); hit {
+		line = ways[i]
+		wasPrefetch = line&linePrefetched != 0 && !prefetched
+		if !prefetched {
+			line &^= linePrefetched
 		}
-		if s.dmValid[set] {
-			evicted, evictedOK = s.dmTags[set], true
-			if s.dmDirty[set] {
+	} else {
+		i--
+		if old := ways[i]; old&lineValid != 0 {
+			evicted, evictedOK = old>>lineStateBits<<s.tagShift|blk&s.setMask, true
+			if old&lineDirty != 0 {
 				s.stats.Writebacks++
 			}
 		}
-		s.dmValid[set] = true
-		s.dmTags[set] = tag
-		s.dmDirty[set] = dirty
-		s.dmPrefetch[set] = prefetched
-		return false, false, evicted, evictedOK
-	}
-	ways := s.sets[set]
-	for i := range ways {
-		if ways[i].tag == tag {
-			e := ways[i]
-			wasPrefetch = e.prefetched && !prefetched
-			if !prefetched {
-				e.prefetched = false
-			}
-			e.dirty = e.dirty || dirty
-			// Move to front (MRU).
-			copy(ways[1:i+1], ways[:i])
-			ways[0] = e
-			return true, wasPrefetch, 0, false
+		if prefetched {
+			line |= linePrefetched
 		}
 	}
-	if len(ways) < s.cfg.Assoc {
-		ways = append(ways, wayEntry{})
-	} else {
-		last := ways[len(ways)-1]
-		evicted, evictedOK = last.tag, true
-		if last.dirty {
-			s.stats.Writebacks++
-		}
+	if dirty {
+		line |= lineDirty
 	}
-	copy(ways[1:], ways)
-	ways[0] = wayEntry{tag: tag, dirty: dirty, prefetched: prefetched}
-	s.sets[set] = ways
-	return false, false, evicted, evictedOK
+	copy(ways[1:i+1], ways[:i])
+	ways[0] = line
+	return hit, wasPrefetch, evicted, evictedOK
 }
 
 // classifyMiss implements the three-C taxonomy: a block never seen before
@@ -441,25 +453,12 @@ func (s *Sim) classifyMiss(blk uint64) MissClass {
 // context switch. Dirty blocks are written back.
 func (s *Sim) Flush() {
 	s.attr.dropOwners()
-	if s.dmValid != nil {
-		for i := range s.dmValid {
-			if s.dmValid[i] && s.dmDirty[i] {
-				s.stats.Writebacks++
-			}
-			s.dmValid[i] = false
-			s.dmDirty[i] = false
-			s.dmPrefetch[i] = false
+	for _, line := range s.lines {
+		if line&lineDirty != 0 {
+			s.stats.Writebacks++
 		}
-		return
 	}
-	for i := range s.sets {
-		for _, e := range s.sets[i] {
-			if e.dirty {
-				s.stats.Writebacks++
-			}
-		}
-		s.sets[i] = s.sets[i][:0]
-	}
+	clear(s.lines)
 }
 
 // lruShadow is a fully-associative LRU cache over block numbers, used only

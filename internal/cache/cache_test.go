@@ -26,10 +26,22 @@ func TestConfigValidate(t *testing.T) {
 		{Size: 8192, BlockSize: 33, Assoc: 1}, // block not pow2
 		{Size: 8192, BlockSize: 32, Assoc: 0}, // zero ways
 		{Size: 64, BlockSize: 32, Assoc: 4},   // too many ways
+		{Size: 8, BlockSize: 1, Assoc: 1},     // ways below 16 bytes
+		{Size: 32, BlockSize: 4, Assoc: 4},    // ways below 16 bytes
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v unexpectedly valid", c)
+		}
+	}
+	for _, c := range []Config{
+		{Size: 16, BlockSize: 1, Assoc: 1},
+		{Size: 64, BlockSize: 2, Assoc: 4},
+		{Size: 64, BlockSize: 4, Assoc: 4},
+		{Size: 16, BlockSize: 16, Assoc: 1},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("config %+v rejected: %v", c, err)
 		}
 	}
 }
@@ -262,30 +274,141 @@ func TestZeroSizeAccessCountsOnce(t *testing.T) {
 	}
 }
 
-// Direct-mapped fast path and the general associative path must agree for
-// assoc=1 semantics: cross-validate against a 1-way config forced through
-// the associative path by comparing against expected behaviour on a
-// pseudo-random trace replayed on two identical configs.
-func TestDirectMappedAgainstModel(t *testing.T) {
-	cfg := Config{Size: 2048, BlockSize: 32, Assoc: 1}
-	s := mustNew(t, cfg, false)
-	// Reference model: map set -> tag.
-	sets := make(map[uint64]uint64)
-	var modelMisses uint64
-	x := uint64(12345)
-	for i := 0; i < 20000; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		addr := addrspace.Addr(0x40000 + (x>>30)%16384)
-		s.Access(addr, 1, object.Global, 1)
-		blk := uint64(addr) / 32
-		set := blk % 64
-		if tag, ok := sets[set]; !ok || tag != blk {
-			modelMisses++
-			sets[set] = blk
+// refLRU is a deliberately naive LRU cache written independently of the
+// simulator: a map from set to its resident block numbers, MRU first. It
+// counts misses in total, per category and per object.
+type refLRU struct {
+	cfg       Config
+	sets      map[uint64][]uint64
+	misses    uint64
+	catMisses [object.NumCategories]uint64
+	objMisses map[object.ID]uint64
+}
+
+func newRefLRU(cfg Config) *refLRU {
+	return &refLRU{cfg: cfg, sets: map[uint64][]uint64{}, objMisses: map[object.ID]uint64{}}
+}
+
+func (m *refLRU) access(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) {
+	bs := uint64(m.cfg.BlockSize)
+	for blk := uint64(addr) / bs; blk <= (uint64(addr)+uint64(size)-1)/bs; blk++ {
+		set := blk % uint64(m.cfg.Sets())
+		var kept []uint64
+		hit := false
+		for _, b := range m.sets[set] {
+			if b == blk {
+				hit = true
+			} else {
+				kept = append(kept, b)
+			}
+		}
+		if !hit {
+			m.misses++
+			m.catMisses[cat]++
+			m.objMisses[obj]++
+			if len(kept) == m.cfg.Assoc {
+				kept = kept[:len(kept)-1]
+			}
+		}
+		m.sets[set] = append([]uint64{blk}, kept...)
+	}
+}
+
+// TestReferenceLRUModel replays one stream through the simulator and the
+// naive reference LRU, comparing total, per-category and per-object
+// misses after every reference. Attribution off runs the policy-free
+// path, attribution on runs touchBlock.
+func TestReferenceLRUModel(t *testing.T) {
+	refs := localStream(7, 6000)
+	for _, block := range []int64{16, 32, 64} {
+		var cfgs []Config
+		for _, ways := range []int{1, 2, 4, 8} {
+			cfgs = append(cfgs, Config{Size: 32 * int64(ways) * block, BlockSize: block, Assoc: ways})
+		}
+		cfgs = append(cfgs, Config{Size: 16 * block, BlockSize: block, Assoc: 16}) // one set
+		for _, cfg := range cfgs {
+			for _, attr := range []bool{false, true} {
+				s := mustNew(t, cfg, false)
+				if attr {
+					s.SetAttribution(NewAttribution(cfg, 16))
+				}
+				m := newRefLRU(cfg)
+				for n, rf := range refs {
+					obj := object.ID(n % 5)
+					cat := object.Category(n % object.NumCategories)
+					if rf.write {
+						s.Write(rf.addr, rf.size, cat, obj)
+					} else {
+						s.Access(rf.addr, rf.size, cat, obj)
+					}
+					m.access(rf.addr, rf.size, cat, obj)
+					st := s.Stats()
+					_, objMisses := s.ObjectStats()
+					if st.Misses != m.misses || st.CategoryMisses != m.catMisses || objMisses[obj] != m.objMisses[obj] {
+						t.Fatalf("%v attribution=%v: reference %d (%#x+%d): sim misses %d %v obj %d, model %d %v obj %d",
+							cfg, attr, n, uint64(rf.addr), rf.size, st.Misses, st.CategoryMisses, objMisses[obj],
+							m.misses, m.catMisses, m.objMisses[obj])
+					}
+				}
+				if m.misses == 0 || m.misses == uint64(len(refs)) {
+					t.Fatalf("%v: %d misses in %d references; the stream does not exercise hits and misses", cfg, m.misses, len(refs))
+				}
+			}
 		}
 	}
-	if got := s.Stats().Misses; got != modelMisses {
-		t.Fatalf("simulator misses %d, reference model %d", got, modelMisses)
+}
+
+// TestTopOfRangeBlocksDoNotAlias: with 1, 2 or 4 B lines a block number
+// can reach 2^61 and above, past what a line could hold beside its state
+// bits if it kept the set index too. Distinct blocks of one set must stay
+// distinct on both paths, and an eviction must report the displaced
+// block's full number (the attribution sink finds its owner by it).
+func TestTopOfRangeBlocksDoNotAlias(t *testing.T) {
+	for _, cfg := range []Config{
+		{Size: 16, BlockSize: 1, Assoc: 1},
+		{Size: 64, BlockSize: 1, Assoc: 4},
+		{Size: 32, BlockSize: 2, Assoc: 2},
+		{Size: 16, BlockSize: 4, Assoc: 1},
+	} {
+		// Every block is set 3 plus a multiple of 2^61, up to the top of
+		// the address space.
+		var addrs []addrspace.Addr
+		maxBlk := ^uint64(0) / uint64(cfg.BlockSize)
+		for hi := uint64(0); hi < 8 && hi<<61 <= maxBlk-3; hi++ {
+			addrs = append(addrs, addrspace.Addr((3+hi<<61)*uint64(cfg.BlockSize)))
+		}
+		for _, attr := range []bool{false, true} {
+			s := mustNew(t, cfg, false)
+			var a *Attribution
+			if attr {
+				a = NewAttribution(cfg, 16)
+				s.SetAttribution(a)
+			}
+			for i, addr := range addrs {
+				if s.Access(addr, 1, object.Global, object.ID(i)) != 1 {
+					t.Fatalf("%v attribution=%v: first touch of %#x hit", cfg, attr, uint64(addr))
+				}
+			}
+			for i := len(addrs) - cfg.Assoc; i < len(addrs); i++ {
+				if s.Access(addrs[i], 1, object.Global, object.ID(i)) != 0 {
+					t.Fatalf("%v attribution=%v: resident block %#x missed", cfg, attr, uint64(addrs[i]))
+				}
+			}
+			if a == nil {
+				continue
+			}
+			// Each fill past the first Assoc evicts the block Assoc fills
+			// before it.
+			pairs := a.Stats().Pairs
+			if want := len(addrs) - cfg.Assoc; len(pairs) != want {
+				t.Fatalf("%v: %d conflict pairs, want %d: %+v", cfg, len(pairs), want, pairs)
+			}
+			for _, p := range pairs {
+				if int(p.Evictor)-int(p.Victim) != cfg.Assoc || p.Count != 1 {
+					t.Fatalf("%v: conflict pair %+v, want victim evictor-%d once", cfg, p, cfg.Assoc)
+				}
+			}
+		}
 	}
 }
 

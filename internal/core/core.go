@@ -419,9 +419,3 @@ func evalPass(store *sim.TraceStore, w workload.Workload, in workload.Input, kin
 	}
 	return sim.EvalFrom(src, w.Name(), w.HeapPlacement(), in, kind, pr, pm, opts, hint)
 }
-
-// RunDefault runs the paper's standard experiment (natural + CCDP on train
-// and test inputs) with the default options.
-func RunDefault(w workload.Workload) (*Comparison, error) {
-	return Run(w, sim.DefaultOptions(), nil, nil)
-}

@@ -1,9 +1,6 @@
 package trg
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Member is one object placed inside a compound node at a fixed offset
 // (bytes) from the compound's origin. Once a compound has been processed by
@@ -179,12 +176,4 @@ func (ci *CacheImage) Occupancy() int {
 		}
 	}
 	return n
-}
-
-// SortLines canonicalises line contents for deterministic iteration in
-// tests and goldens.
-func (ci *CacheImage) SortLines() {
-	for _, l := range ci.Lines {
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-	}
 }

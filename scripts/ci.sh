@@ -25,8 +25,8 @@ fi
 echo "==> test"
 go test ./...
 
-echo "==> sweep replay benchmark smoke"
-go test -run=NONE -bench=RunSharedReplay -benchtime=1x ./internal/sweep
+echo "==> cache kernel and sweep replay benchmark smoke"
+go test -run=NONE -bench='TouchBlock|RunSharedReplay' -benchtime=1x ./internal/cache ./internal/sweep
 
 # CI additionally runs the build-test job on a go-version matrix
 # (1.22.x, 1.23.x); locally you test whatever toolchain is installed.
