@@ -62,9 +62,9 @@ const (
 	// StorePacked counts small entries consolidated into bundle files by
 	// the maintenance pass.
 	StorePacked
-	// StoreBytesWritten accumulates compressed bytes published into the
-	// store; StoreBytesRead accumulates compressed bytes opened for
-	// replay from existing entries.
+	// StoreBytesWritten accumulates on-disk (framed) bytes published
+	// into the store; StoreBytesRead accumulates on-disk bytes opened
+	// for replay from existing entries.
 	StoreBytesWritten
 	StoreBytesRead
 

@@ -141,3 +141,40 @@ func TestTraceTruncationDetected(t *testing.T) {
 		t.Fatal("truncated trace replayed without error")
 	}
 }
+
+// TestBatchRecordMatchesPerEvent holds the trace writer's batch encoder
+// to the per-event one: for every workload, recording through
+// Writer.HandleBatch and through HandleEvent alone yields identical bytes.
+func TestBatchRecordMatchesPerEvent(t *testing.T) {
+	opts := DefaultOptions()
+	for _, w := range workload.All() {
+		in := w.Train()
+		in.Bursts = max(1, int(float64(in.Bursts)*0.05))
+		var batched bytes.Buffer
+		if err := RecordTrace(w, in, &batched, opts); err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		// The same recording with the writer hidden behind a plain
+		// Handler, so the tee unrolls every batch into HandleEvent.
+		spec := w.Spec()
+		gdecls, cdecls := specDecls(spec)
+		hdr := trace.FileHeader{StackSize: spec.StackSize, Globals: gdecls, Constants: cdecls}
+		tee := make(trace.Tee, 0, 1)
+		table, prog, em := buildRun(w, in, &tee, opts)
+		var single bytes.Buffer
+		tw, err := trace.NewWriter(&single, hdr, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tee = append(tee, trace.HandlerFunc(tw.HandleEvent))
+		w.Run(in, prog)
+		em.Flush()
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(batched.Bytes(), single.Bytes()) {
+			t.Errorf("%s: batched recording (%d B) differs from per-event recording (%d B)",
+				w.Name(), batched.Len(), single.Len())
+		}
+	}
+}

@@ -40,7 +40,7 @@ func (tc TraceConfig) storeConfig(mc *metrics.Collector) store.Config {
 // by the shared content-addressed store: each input's stream is recorded
 // at most once per store directory — across goroutines via the store's
 // in-directory claim protocol, and across processes the same way — and
-// every later Open replays the compressed entry. Safe for concurrent use
+// every later Open replays the stored entry. Safe for concurrent use
 // by the parallel evaluation units.
 type TraceStore struct {
 	cfg TraceConfig

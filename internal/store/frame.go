@@ -3,63 +3,62 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // The framing layer turns an artifact's byte stream into a sequence of
-// independently compressed, checksummed blocks:
+// checksummed blocks:
 //
-//	magic "ccdpfrm1"
-//	frame*: uvarint rawLen | uvarint compLen | crc32(raw) LE | compLen flate bytes
+//	magic "ccdpfrm2"
+//	frame*: uvarint rawLen | crc32(raw) LE | rawLen raw bytes
 //	end:    uvarint 0
 //
-// Frames are self-contained (each is its own flate stream), so a reader
-// decodes strictly sequentially — the access pattern trace replay wants —
-// and any corruption is caught at the frame where it happens: a bad
-// length, a short read, a flate error, or a checksum mismatch each surface
-// as an error, never as a panic or as silently wrong bytes downstream.
+// Frames are stored uncompressed: replaying a stored trace has to beat
+// re-running the model that produced it, and inflate alone cost more per
+// event than the model does (DESIGN.md, "Trace store"). A reader decodes
+// strictly sequentially — the access pattern trace replay wants — and any
+// corruption is caught at the frame where it happens: a bad length, a
+// short read, or a checksum mismatch each surface as an error, never as a
+// panic or as silently wrong bytes downstream.
 
-var frameMagic = []byte("ccdpfrm1")
+// frameMagic names the format version. Any change to the format must
+// change it: KeyOf hashes it in, which retires every older entry.
+var frameMagic = []byte("ccdpfrm2")
 
 const (
-	// DefaultBlockSize is the uncompressed frame payload target: big
-	// enough that flate amortizes, small enough that a corrupt frame
-	// loses little and decode buffers stay modest.
+	// DefaultBlockSize is the frame payload target: big enough that the
+	// per-frame header and checksum call amortize, small enough that a
+	// corrupt frame loses little and decode buffers stay modest.
 	DefaultBlockSize = 256 << 10
-	// maxFrameLen bounds both the raw and compressed lengths decoded
-	// from the wire; anything larger cannot come from a FrameWriter.
+	// maxFrameLen bounds the frame length decoded from the wire;
+	// anything larger cannot come from a FrameWriter.
 	maxFrameLen = 1 << 26
 )
 
-// FrameWriter compresses a byte stream into frames. Errors are sticky and
+// FrameWriter cuts a byte stream into frames. Errors are sticky and
 // surfaced by every subsequent call; Close writes the end marker.
 type FrameWriter struct {
-	w       io.Writer
-	block   int
-	buf     []byte
-	comp    bytes.Buffer
-	fl      *flate.Writer
-	n       int64
-	err     error
-	closed  bool
-	scratch [binary.MaxVarintLen64]byte
+	w      io.Writer
+	block  int
+	buf    []byte
+	hdr    []byte
+	n      int64
+	err    error
+	closed bool
 }
 
 // NewFrameWriter writes the stream magic and returns a writer that cuts
-// frames of blockSize uncompressed bytes (<= 0 selects DefaultBlockSize).
+// frames of blockSize bytes (<= 0 selects DefaultBlockSize).
 func NewFrameWriter(w io.Writer, blockSize int) *FrameWriter {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
 	fw := &FrameWriter{w: w, block: blockSize}
-	// BestSpeed: the store is a cache in front of an expensive producer;
-	// cheap compression on the record path beats ratio.
-	fw.fl, _ = flate.NewWriter(&fw.comp, flate.BestSpeed)
 	fw.write(frameMagic)
 	return fw
 }
@@ -73,13 +72,8 @@ func (fw *FrameWriter) write(p []byte) {
 	fw.err = err
 }
 
-func (fw *FrameWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(fw.scratch[:], v)
-	fw.write(fw.scratch[:n])
-}
-
-// Write implements io.Writer, cutting a frame each time a full block of
-// uncompressed bytes accumulates.
+// Write implements io.Writer, cutting a frame each time a full block
+// accumulates.
 func (fw *FrameWriter) Write(p []byte) (int, error) {
 	if fw.closed {
 		return 0, errors.New("store: write on closed FrameWriter")
@@ -115,22 +109,10 @@ func (fw *FrameWriter) flushFrame(raw []byte) {
 	if fw.err != nil || len(raw) == 0 {
 		return
 	}
-	fw.comp.Reset()
-	fw.fl.Reset(&fw.comp)
-	if _, err := fw.fl.Write(raw); err != nil {
-		fw.err = err
-		return
-	}
-	if err := fw.fl.Close(); err != nil {
-		fw.err = err
-		return
-	}
-	fw.uvarint(uint64(len(raw)))
-	fw.uvarint(uint64(fw.comp.Len()))
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(raw))
-	fw.write(crc[:])
-	fw.write(fw.comp.Bytes())
+	fw.hdr = binary.AppendUvarint(fw.hdr[:0], uint64(len(raw)))
+	fw.hdr = binary.LittleEndian.AppendUint32(fw.hdr, crc32.ChecksumIEEE(raw))
+	fw.write(fw.hdr)
+	fw.write(raw)
 }
 
 // Close flushes the final partial frame and writes the end marker. It is
@@ -142,12 +124,12 @@ func (fw *FrameWriter) Close() error {
 	fw.closed = true
 	fw.flushFrame(fw.buf)
 	fw.buf = nil
-	fw.uvarint(0)
+	fw.write([]byte{0})
 	return fw.err
 }
 
-// BytesWritten returns the compressed (on-the-wire) byte count so far,
-// including magic and frame headers.
+// BytesWritten returns the on-the-wire byte count so far, including
+// magic and frame headers.
 func (fw *FrameWriter) BytesWritten() int64 { return fw.n }
 
 // noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a frame
@@ -161,12 +143,10 @@ func noEOF(err error) error {
 }
 
 // FrameReader decodes a frame stream strictly sequentially. Any
-// malformed input — truncation, implausible lengths, flate errors,
-// checksum mismatches — returns an error; FrameReader never panics.
+// malformed input — truncation, implausible lengths, checksum
+// mismatches — returns an error; FrameReader never panics.
 type FrameReader struct {
 	br    *bufio.Reader
-	fl    io.ReadCloser
-	comp  []byte
 	frame []byte
 	pos   int
 	done  bool
@@ -189,7 +169,7 @@ func NewFrameReader(r io.Reader) (*FrameReader, error) {
 	return &FrameReader{br: br}, nil
 }
 
-// Read implements io.Reader over the decompressed stream.
+// Read implements io.Reader over the verified payload stream.
 func (fr *FrameReader) Read(p []byte) (int, error) {
 	if fr.err != nil {
 		return 0, fr.err
@@ -208,54 +188,38 @@ func (fr *FrameReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// next decodes and verifies one frame (or the end marker).
+// next reads and verifies one frame (or the end marker).
 func (fr *FrameReader) next() error {
 	rawLen, err := binary.ReadUvarint(fr.br)
 	if err != nil {
 		return fmt.Errorf("store: reading frame length: %w", noEOF(err))
 	}
+	fr.frame, fr.pos = fr.frame[:0], 0
 	if rawLen == 0 {
 		fr.done = true
-		fr.frame, fr.pos = nil, 0
 		return nil
 	}
-	compLen, err := binary.ReadUvarint(fr.br)
-	if err != nil {
-		return fmt.Errorf("store: reading frame length: %w", noEOF(err))
-	}
-	if rawLen > maxFrameLen || compLen > maxFrameLen {
-		return fmt.Errorf("store: implausible frame lengths raw=%d comp=%d", rawLen, compLen)
+	if rawLen > maxFrameLen {
+		return fmt.Errorf("store: implausible frame length %d", rawLen)
 	}
 	var crcb [4]byte
 	if _, err := io.ReadFull(fr.br, crcb[:]); err != nil {
 		return fmt.Errorf("store: reading frame checksum: %w", noEOF(err))
 	}
-	if uint64(cap(fr.comp)) < compLen {
-		fr.comp = make([]byte, compLen)
-	}
-	fr.comp = fr.comp[:compLen]
-	if _, err := io.ReadFull(fr.br, fr.comp); err != nil {
-		return fmt.Errorf("store: reading frame payload: %w", noEOF(err))
-	}
-	if fr.fl == nil {
-		fr.fl = flate.NewReader(bytes.NewReader(fr.comp))
-	} else if err := fr.fl.(flate.Resetter).Reset(bytes.NewReader(fr.comp), nil); err != nil {
-		return fmt.Errorf("store: resetting frame decompressor: %w", err)
-	}
-	if uint64(cap(fr.frame)) < rawLen {
-		fr.frame = make([]byte, rawLen)
-	}
-	fr.frame = fr.frame[:rawLen]
-	if _, err := io.ReadFull(fr.fl, fr.frame); err != nil {
-		return fmt.Errorf("store: decompressing frame: %w", noEOF(err))
-	}
-	var one [1]byte
-	if n, _ := fr.fl.Read(one[:]); n != 0 {
-		return errors.New("store: frame decompresses past its declared length")
+	// Grow the payload buffer only as bytes arrive, at most a block at a
+	// time: a forged length must not buy an allocation its input cannot
+	// back.
+	for n := int(rawLen); len(fr.frame) < n; {
+		chunk := min(n-len(fr.frame), DefaultBlockSize)
+		fr.frame = slices.Grow(fr.frame, chunk)
+		m, err := io.ReadFull(fr.br, fr.frame[len(fr.frame):len(fr.frame)+chunk])
+		fr.frame = fr.frame[:len(fr.frame)+m]
+		if err != nil {
+			return fmt.Errorf("store: reading frame payload: %w", noEOF(err))
+		}
 	}
 	if got, want := crc32.ChecksumIEEE(fr.frame), binary.LittleEndian.Uint32(crcb[:]); got != want {
 		return fmt.Errorf("store: frame checksum mismatch (got %#x, want %#x)", got, want)
 	}
-	fr.pos = 0
 	return nil
 }

@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -33,43 +35,43 @@ func rawFrames(frames ...[]byte) []byte {
 	return buf.Bytes()
 }
 
-// frame encodes one frame with the given declared lengths, checksum, and
-// compressed bytes — all independently forgeable.
-func frame(rawLen, compLen uint64, crc uint32, comp []byte) []byte {
-	var b []byte
-	var tmp [binary.MaxVarintLen64]byte
-	b = append(b, tmp[:binary.PutUvarint(tmp[:], rawLen)]...)
-	b = append(b, tmp[:binary.PutUvarint(tmp[:], compLen)]...)
-	var c [4]byte
-	binary.LittleEndian.PutUint32(c[:], crc)
-	b = append(b, c[:]...)
-	return append(b, comp...)
+// frame encodes one frame with the given declared length, checksum, and
+// payload bytes — all independently forgeable.
+func frame(rawLen uint64, crc uint32, raw []byte) []byte {
+	b := binary.AppendUvarint(nil, rawLen)
+	b = binary.LittleEndian.AppendUint32(b, crc)
+	return append(b, raw...)
 }
 
 func FuzzFrameReader(f *testing.F) {
-	valid := frameStream(bytes.Repeat([]byte("trace event bytes "), 1000), 4<<10)
+	// Frames are stored raw, so every payload byte is fuzz input: keep
+	// the valid seed small (six frames) or minimization crawls.
+	valid := frameStream(bytes.Repeat([]byte("trace event bytes "), 40), 128)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])        // truncated mid-frame
 	f.Add(valid[:len(frameMagic)])     // magic only, no end marker
 	f.Add(frameStream(nil, 0))         // empty payload: magic + end marker
-	f.Add([]byte("ccdpfrm2"))          // wrong magic
+	f.Add([]byte("ccdpfrm1"))          // the retired compressed format's magic
 	f.Add([]byte("junk"))              // short junk
 	f.Add([]byte{})                    // empty input
 	f.Add(frameStream([]byte("x"), 1)) // many tiny frames
 
-	// Bad checksum over otherwise valid flate bytes.
+	// Bad checksum over an otherwise valid stream.
 	badCRC := append([]byte(nil), valid...)
-	badCRC[len(frameMagic)+2+4] ^= 0x01 // flip a bit inside the first crc/payload region
+	badCRC[len(frameMagic)+2+4] ^= 0x01 // flip a bit inside the first frame's payload
 	f.Add(badCRC)
 
-	// Implausible declared lengths: must be rejected before allocation.
-	f.Add(rawFrames(frame(1<<40, 4, 0, []byte{1, 2, 3, 4})))
-	f.Add(rawFrames(frame(4, 1<<40, 0, nil)))
-	// compLen lies about the payload size.
-	f.Add(rawFrames(frame(4, 100, 0, []byte{1, 2})))
-	// rawLen smaller than what the flate stream actually inflates to.
-	good := frameStream([]byte("eightchr"), 0)
-	f.Add(rawFrames(frame(2, uint64(len(good)-len(frameMagic)-7), crc32.ChecksumIEEE([]byte("ei")), good[len(frameMagic)+7:])))
+	// Implausible declared length: must be rejected before allocation.
+	f.Add(rawFrames(frame(1<<40, 0, []byte{1, 2, 3, 4})))
+	// A plausible but forged length the input cannot back: the payload
+	// buffer must grow with the bytes that arrive, not with the claim.
+	f.Add(rawFrames(frame(60<<20, 0, []byte{1, 2, 3})))
+	// The declared length overruns the payload.
+	f.Add(rawFrames(frame(100, 0, []byte{1, 2})))
+	// The declared length stops short of the payload: the checksum
+	// covers the declared bytes, and the rest desynchronizes the next
+	// frame header.
+	f.Add(rawFrames(frame(2, crc32.ChecksumIEEE([]byte("ei")), []byte("eightchr"))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := NewFrameReader(bytes.NewReader(data))
@@ -111,9 +113,10 @@ func TestFuzzSeedsBehave(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"oversized rawLen", rawFrames(frame(1<<40, 4, 0, []byte{1, 2, 3, 4}))},
-		{"oversized compLen", rawFrames(frame(4, 1<<40, 0, nil))},
-		{"short payload", rawFrames(frame(4, 100, 0, []byte{1, 2}))},
+		{"oversized rawLen", rawFrames(frame(1<<40, 0, []byte{1, 2, 3, 4}))},
+		{"forged rawLen", rawFrames(frame(60<<20, 0, []byte{1, 2, 3}))},
+		{"short payload", rawFrames(frame(100, 0, []byte{1, 2}))},
+		{"overlong payload", rawFrames(frame(2, crc32.ChecksumIEEE([]byte("ei")), []byte("eightchr")))},
 		{"truncated", valid[:len(valid)-3]},
 	} {
 		fr, err := NewFrameReader(bytes.NewReader(tc.data))
@@ -123,5 +126,32 @@ func TestFuzzSeedsBehave(t *testing.T) {
 		if _, err := io.ReadAll(fr); err == nil {
 			t.Errorf("%s: decoded cleanly", tc.name)
 		}
+	}
+}
+
+// TestForgedFrameLengthAllocatesBounded feeds a 19-byte stream whose one
+// frame declares 60 MiB: decoding must fail as a truncation while
+// allocating far less than the declared length.
+func TestForgedFrameLengthAllocatesBounded(t *testing.T) {
+	data := rawFrames(frame(60<<20, 0, []byte{1, 2, 3}))
+	if len(data) != 19 {
+		t.Fatalf("forged stream is %d bytes, want 19", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fr, err := NewFrameReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf [512]byte
+	for err == nil {
+		_, err = fr.Read(buf[:])
+	}
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("forged frame: got %v, want unexpected EOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("forged 60 MiB frame allocated %d bytes decoding 19 input bytes", alloc)
 	}
 }

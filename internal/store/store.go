@@ -1,12 +1,13 @@
-// Package store is a content-addressed, compressed artifact cache shared
-// safely by concurrent processes. Entries are keyed by a hash of their
-// full provenance (whatever inputs determine the bytes), written in
-// checksummed compressed frames, published atomically (temp file +
-// rename), and coordinated across processes by an O_EXCL lock-file claim
-// protocol: for each key, exactly one producer records while every other
-// contender waits for the published entry. A maintenance pass packs small
-// entries into bundle files (replay stays sequential-I/O friendly) and
-// enforces a size cap by evicting least-recently-used entries.
+// Package store is a content-addressed artifact cache shared safely by
+// concurrent processes. Entries are keyed by a hash of their full
+// provenance (whatever inputs determine the bytes) and of the store's own
+// frame format, written in checksummed uncompressed frames, published
+// atomically (temp file + rename), and coordinated across processes by an
+// O_EXCL lock-file claim protocol: for each key, exactly one producer
+// records while every other contender waits for the published entry. A
+// maintenance pass packs small entries into bundle files (replay stays
+// sequential-I/O friendly) and enforces a size cap by evicting
+// least-recently-used entries.
 //
 // The store exists for the trace pipeline's record-once/replay-many
 // split — sim.TraceStore is its only production client — but nothing in
@@ -37,7 +38,7 @@ const (
 	bundlePrefix = "bundle-"
 	bundleExt    = ".cbundle"
 
-	// DefaultPackThreshold is the compressed size below which an entry
+	// DefaultPackThreshold is the on-disk size below which an entry
 	// counts as a small shard worth packing into a bundle.
 	DefaultPackThreshold = 64 << 10
 	// DefaultStaleClaim is how old an untouched claim file must be
@@ -56,9 +57,7 @@ type Config struct {
 	// MaxBytes caps the store's on-disk footprint; the eviction pass
 	// removes least-recently-used entries beyond it. 0 = uncapped.
 	MaxBytes int64
-	// BlockSize is the compressed framing block (0 = DefaultBlockSize).
-	BlockSize int
-	// PackThreshold is the compressed size below which Maintain packs
+	// PackThreshold is the on-disk size below which Maintain packs
 	// entries into bundles (0 = DefaultPackThreshold, < 0 disables).
 	PackThreshold int64
 	// StaleClaim is the claim-takeover age (0 = DefaultStaleClaim).
@@ -70,9 +69,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.BlockSize <= 0 {
-		c.BlockSize = DefaultBlockSize
-	}
 	if c.PackThreshold == 0 {
 		c.PackThreshold = DefaultPackThreshold
 	}
@@ -94,9 +90,13 @@ type Key struct {
 
 // KeyOf derives a key from the given provenance parts. Each part is
 // length-prefixed before hashing, so no concatenation of distinct part
-// lists can collide.
+// lists can collide. The frame format's magic is hashed in first: the
+// store owns its on-disk format, so entries written in an older format
+// simply stop being addressable — they are recorded again once, never
+// misread, and the old files age out through the LRU.
 func KeyOf(tag string, parts ...string) Key {
 	h := sha256.New()
+	h.Write(frameMagic)
 	var n [8]byte
 	for _, p := range parts {
 		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
@@ -154,7 +154,7 @@ func (s *Store) claimPathFor(entryName string) string {
 	return filepath.Join(s.cfg.Dir, strings.TrimSuffix(entryName, entryExt)+claimExt)
 }
 
-// entryReader pairs the decompressing reader with the file it draws from.
+// entryReader pairs the verifying frame reader with the file it draws from.
 type entryReader struct {
 	io.Reader
 	c io.Closer
@@ -162,8 +162,8 @@ type entryReader struct {
 
 func (er *entryReader) Close() error { return er.c.Close() }
 
-// Get opens the entry for k, if present, as a decompressed sequential
-// stream. The boolean reports presence; a present-but-corrupt entry is
+// Get opens the entry for k, if present, as a checksum-verified
+// sequential stream. The boolean reports presence; a present-but-corrupt entry is
 // an error (fail loudly, never hand back wrong bytes).
 func (s *Store) Get(k Key) (io.ReadCloser, bool, error) {
 	rc, ok, err := s.open(k)
@@ -204,7 +204,7 @@ func (s *Store) open(k Key) (io.ReadCloser, bool, error) {
 // process has yet: the claim winner records to a temp file and publishes
 // with a rename; every loser polls for the published entry (taking over
 // the claim if its holder goes stale). fill receives a plain writer —
-// compression and framing happen underneath.
+// framing and checksums happen underneath.
 func (s *Store) GetOrFill(k Key, fill func(w io.Writer) error) (io.ReadCloser, error) {
 	waited := false
 	for {
@@ -322,7 +322,7 @@ func (s *Store) record(k Key, fill func(w io.Writer) error) (io.ReadCloser, erro
 	if err != nil {
 		return nil, err
 	}
-	fw := NewFrameWriter(tmp, s.cfg.BlockSize)
+	fw := NewFrameWriter(tmp, DefaultBlockSize)
 	if err = fill(fw); err == nil {
 		err = fw.Close()
 	}

@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -333,5 +336,76 @@ func TestSweep(t *testing.T) {
 	}
 	if _, err := os.Stat(fresh); err != nil {
 		t.Fatal("fresh temp file swept")
+	}
+}
+
+// legacyKeyOf is KeyOf as it derived keys before the frame format was
+// hashed in: the address every "ccdpfrm1" entry was published under.
+func legacyKeyOf(tag string, parts ...string) Key {
+	h := sha256.New()
+	var n [8]byte
+	for _, p := range parts {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write([]byte(p))
+	}
+	sum := h.Sum(nil)
+	return Key{Tag: sanitize(tag), Hash: hex.EncodeToString(sum[:16])}
+}
+
+// TestOldFormatEntryReRecorded plants an entry written in the retired
+// compressed frame format under the key it was published with, and checks
+// the store records the key afresh (once, no error) instead of misreading
+// it, while the stale file ages out through the LRU.
+func TestOldFormatEntryReRecorded(t *testing.T) {
+	// A genuine "ccdpfrm1" stream (flate-compressed frame) holding
+	// "recorded in the old format".
+	oldStream := []byte("ccdpfrm1\x1a$4\x1a\xab\xec\x00\x1a\x00\xe5\xffrecorded in the old format\x01\x00\x00\xff\xff\x00")
+	old := legacyKeyOf("old", "input-1")
+	if old.Hash != "6300864a987698e9724ddf62a327d86d" {
+		t.Fatalf("legacy key derivation drifted: %s", old.Hash)
+	}
+	k := KeyOf("old", "input-1")
+	if k.Hash == old.Hash {
+		t.Fatal("frame format does not reach the key hash")
+	}
+	if _, err := NewFrameReader(bytes.NewReader(oldStream)); err == nil {
+		t.Fatal("current reader accepted an old-format stream")
+	}
+
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, old.name())
+	if err := os.WriteFile(oldPath, oldStream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(oldPath, past, past); err != nil {
+		t.Fatal(err)
+	}
+
+	payload := []byte("recorded in the current format")
+	mc := metrics.New()
+	// Cap the store at exactly the fresh entry, so recording it evicts
+	// the older stale one.
+	s := New(Config{Dir: dir, MaxBytes: int64(len(frameStream(payload, 0))), Metrics: mc})
+	var calls atomic.Int64
+	for pass := 0; pass < 2; pass++ {
+		rc, err := s.GetOrFill(k, fillWith(payload, &calls))
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if got := readAllClose(t, rc); !bytes.Equal(got, payload) {
+			t.Fatalf("pass %d read %q", pass, got)
+		}
+	}
+	if calls.Load() != 1 || mc.Get(metrics.StoreMisses) != 1 || mc.Get(metrics.StoreHits) != 1 {
+		t.Fatalf("fills=%d misses=%d hits=%d, want one re-record then one hit",
+			calls.Load(), mc.Get(metrics.StoreMisses), mc.Get(metrics.StoreHits))
+	}
+	if _, err := os.Stat(oldPath); !os.IsNotExist(err) {
+		t.Fatalf("old-format entry not evicted: %v", err)
+	}
+	if mc.Get(metrics.StoreEvictions) != 1 {
+		t.Fatalf("evictions=%d, want 1", mc.Get(metrics.StoreEvictions))
 	}
 }

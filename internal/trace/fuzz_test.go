@@ -3,8 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/object"
 )
@@ -98,6 +101,10 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add(rawTrace(64, ev(nil, tagAlloc, 1, 0, 0xBEEF)...))
 	f.Add(rawTrace(64, ev(nil, tagFree, 0)...))
 	f.Add(rawTrace(64, 0x7E))
+	// Edges of the buffered access decoder: an access event cut off at the
+	// end of the stream, and an over-long varint well inside the window.
+	f.Add(rawTrace(64, ev(nil, tagLoad, 0, 8)...))
+	f.Add(rawTrace(64, append(overlongAccess(), ev(nil, tagLoad, 0, 0, 8)...)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := NewReader(bytes.NewReader(data))
@@ -107,6 +114,12 @@ func FuzzTraceReader(f *testing.F) {
 		c := NewCounter(tr.Objects())
 		_ = tr.Replay(c) // must never panic, whatever the verdict
 	})
+}
+
+// overlongAccess encodes a load whose object varint runs past ten bytes.
+func overlongAccess() []byte {
+	b := append([]byte{tagLoad}, bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64)...)
+	return append(b, 0x01, 0, 8)
 }
 
 // TestReplayRoundTrip pins the happy path the fuzz target only brushes:
@@ -134,6 +147,90 @@ func TestReplayRoundTrip(t *testing.T) {
 	in := tr.Objects().Get(object.ID(tr.Objects().Len() - 1))
 	if in.Category != object.Heap || in.DeathRef == 0 {
 		t.Fatalf("heap object not reconstructed: %+v", in)
+	}
+}
+
+// TestReplayAcrossWindowRefills replays one stream through decode buffers
+// from one longest access event upward, and one byte per read, so access
+// events land across every window boundary: counts must not change, and
+// the stream cut inside its last access event must fail the same way at
+// every buffer size.
+func TestReplayAcrossWindowRefills(t *testing.T) {
+	var evs []byte
+	for i := uint64(0); i < 400; i++ {
+		tag := byte(tagLoad)
+		if i%3 == 0 {
+			tag = tagStore
+		}
+		off := (i * i * 7919) % (1 << 36) // 1- to 6-byte varints
+		evs = ev(evs, tag, 0, off, 1+i%64)
+	}
+	whole := rawTrace(1<<40, append(evs, tagEnd)...)
+	cut := rawTrace(1<<40, evs[:len(evs)-2]...)
+	sizes := []int{1, maxAccessLen, maxAccessLen + 1, 47, 64, 0}
+	for _, size := range sizes {
+		for _, oneByte := range []bool{false, true} {
+			open := func(data []byte) *Reader {
+				var r io.Reader = bytes.NewReader(data)
+				if oneByte {
+					r = iotest.OneByteReader(r)
+				}
+				tr, err := NewReaderSize(r, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tr
+			}
+			tr := open(whole)
+			c := NewCounter(tr.Objects())
+			if err := tr.Replay(c); err != nil {
+				t.Fatalf("size %d one-byte %v: %v", size, oneByte, err)
+			}
+			if c.Loads != 266 || c.Stores != 134 {
+				t.Fatalf("size %d one-byte %v: loads=%d stores=%d, want 266/134", size, oneByte, c.Loads, c.Stores)
+			}
+			tr = open(cut)
+			err := tr.Replay(NewCounter(tr.Objects()))
+			if err == nil || err.Error() != "trace: truncated access event" {
+				t.Fatalf("size %d one-byte %v: cut stream failed with %v", size, oneByte, err)
+			}
+		}
+	}
+}
+
+// errOnceReader returns its data, then err once, then io.EOF: a source
+// that does not repeat its read error.
+type errOnceReader struct {
+	data []byte
+	err  error
+}
+
+func (r *errOnceReader) Read(p []byte) (int, error) {
+	if len(r.data) > 0 {
+		n := copy(p, r.data)
+		r.data = r.data[n:]
+		return n, nil
+	}
+	if err := r.err; err != nil {
+		r.err = nil
+		return 0, err
+	}
+	return 0, io.EOF
+}
+
+// TestReplayReportsOneShotReadError: a read error that the source reports
+// once, as the decoder refills its window, must still be the error Replay
+// returns.
+func TestReplayReportsOneShotReadError(t *testing.T) {
+	boom := errors.New("boom")
+	data := rawTrace(64, ev(ev(nil, tagLoad, 0, 0, 8), tagStore, 0, 8, 8)...)
+	tr, err := NewReader(&errOnceReader{data: data, err: boom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tr.Replay(NewCounter(tr.Objects()))
+	if !errors.Is(err, boom) {
+		t.Fatalf("Replay returned %v, want the source's read error", err)
 	}
 }
 
@@ -186,6 +283,8 @@ func TestReplayRejectsCorruptEvents(t *testing.T) {
 		{"unknown tag", rawTrace(64, 0x7E), "unknown event tag"},
 		{"missing end", rawTrace(64), "event tag"},
 		{"truncated access", rawTrace(64, tagLoad), "truncated access"},
+		{"access cut at end of stream", rawTrace(64, ev(nil, tagLoad, 0, 8)...), "truncated access"},
+		{"overlong varint", rawTrace(64, append(overlongAccess(), ev(nil, tagLoad, 0, 0, 8)...)...), "truncated access"},
 		{"alloc id drift", rawTrace(64, append(append(ev(nil, tagAlloc, 7, 16, 0xBEEF), byte(1), 'h'), tagEnd)...), "id drift"},
 	}
 	// Double free needs a well-formed alloc first: alloc id 1, touch it (so

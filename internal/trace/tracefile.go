@@ -49,7 +49,7 @@ type Writer struct {
 	bw   *bufio.Writer
 	objs *object.Table // for alloc metadata
 	err  error
-	buf  [binary.MaxVarintLen64]byte
+	buf  [maxAccessLen]byte
 }
 
 // NewWriter writes the header and returns a recording handler. objs must
@@ -104,16 +104,10 @@ func (tw *Writer) str(s string) {
 // HandleEvent implements Handler.
 func (tw *Writer) HandleEvent(ev Event) {
 	switch ev.Kind {
-	case Load:
-		tw.byte(tagLoad)
-		tw.uvarint(uint64(ev.Obj))
-		tw.uvarint(uint64(ev.Off))
-		tw.uvarint(uint64(ev.Size))
-	case Store:
-		tw.byte(tagStore)
-		tw.uvarint(uint64(ev.Obj))
-		tw.uvarint(uint64(ev.Off))
-		tw.uvarint(uint64(ev.Size))
+	case Load, Store:
+		if tw.err == nil {
+			_, tw.err = tw.bw.Write(appendAccess(tw.buf[:0], &ev))
+		}
 	case Alloc:
 		in := tw.objs.Get(ev.Obj)
 		tw.byte(tagAlloc)
@@ -125,6 +119,46 @@ func (tw *Writer) HandleEvent(ev Event) {
 		tw.byte(tagFree)
 		tw.uvarint(uint64(ev.Obj))
 	}
+}
+
+// maxAccessLen is the longest encoding of one access event: a tag and
+// three varints.
+const maxAccessLen = 1 + 3*binary.MaxVarintLen64
+
+// HandleBatch implements BatchHandler: it encodes a batch of loads and
+// stores (the only kinds the emitter batches) straight into the buffered
+// writer's free space, writing exactly the bytes HandleEvent would.
+func (tw *Writer) HandleBatch(evs []Event) {
+	if tw.err != nil {
+		return
+	}
+	b := tw.bw.AvailableBuffer()
+	for i := range evs {
+		if cap(b)-len(b) < maxAccessLen {
+			if _, tw.err = tw.bw.Write(b); tw.err == nil {
+				tw.err = tw.bw.Flush()
+			}
+			if tw.err != nil {
+				return
+			}
+			b = tw.bw.AvailableBuffer()
+		}
+		b = appendAccess(b, &evs[i])
+	}
+	_, tw.err = tw.bw.Write(b)
+}
+
+// appendAccess appends the wire encoding of a load or store: its tag and
+// three varints, at most maxAccessLen bytes.
+func appendAccess(b []byte, ev *Event) []byte {
+	tag := byte(tagLoad)
+	if ev.Kind == Store {
+		tag = tagStore
+	}
+	b = append(b, tag)
+	b = binary.AppendUvarint(b, uint64(ev.Obj))
+	b = binary.AppendUvarint(b, uint64(ev.Off))
+	return binary.AppendUvarint(b, uint64(ev.Size))
 }
 
 // Flush terminates and flushes the stream.
@@ -157,15 +191,16 @@ func NewReader(r io.Reader) (*Reader, error) {
 }
 
 // NewReaderSize is NewReader with an explicit decode-buffer size in bytes
-// (<= 0 selects bufio's default). Replay is I/O bound when the trace comes
-// off a file; a deep buffer keeps the decoder fed between reads so the
-// downstream profiler's shard workers never starve.
+// (<= 0 selects bufio's default; the floor is one longest access event).
+// Replay is I/O bound when the trace comes off a file; a deep buffer keeps
+// the decoder fed between reads so the downstream profiler's shard workers
+// never starve.
 func NewReaderSize(r io.Reader, size int) (*Reader, error) {
 	var br *bufio.Reader
 	if size > 0 {
-		br = bufio.NewReaderSize(r, size)
+		br = bufio.NewReaderSize(&stickyReader{r: r}, max(size, maxAccessLen))
 	} else {
-		br = bufio.NewReader(r)
+		br = bufio.NewReader(&stickyReader{r: r})
 	}
 	tr := &Reader{br: br}
 	magic := make([]byte, len(traceMagic))
@@ -241,6 +276,24 @@ func (tr *Reader) readStr() (string, error) {
 	return string(b), nil
 }
 
+// stickyReader repeats the first error its source returns. bufio.Reader
+// hands a read error back only once, and Replay's Peek may be the call
+// that takes it; repeating it lets the next read report it, as a file
+// would.
+type stickyReader struct {
+	r   io.Reader
+	err error
+}
+
+func (s *stickyReader) Read(p []byte) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	n, err := s.r.Read(p)
+	s.err = err
+	return n, err
+}
+
 // Header returns the parsed file header.
 func (tr *Reader) Header() FileHeader { return tr.header }
 
@@ -265,6 +318,9 @@ func (tr *Reader) Replay(h Handler) error {
 	em := NewEmitter(tr.objs, h)
 	em.SetMetrics(tr.metrics)
 	for {
+		if err := tr.replayAccesses(em); err != nil {
+			return err
+		}
 		tag, err := tr.br.ReadByte()
 		if err != nil {
 			return fmt.Errorf("trace: reading event tag: %w", err)
@@ -273,28 +329,6 @@ func (tr *Reader) Replay(h Handler) error {
 		case tagEnd:
 			em.Flush()
 			return nil
-		case tagLoad, tagStore:
-			obj, err1 := binary.ReadUvarint(tr.br)
-			off, err2 := binary.ReadUvarint(tr.br)
-			size, err3 := binary.ReadUvarint(tr.br)
-			if err1 != nil || err2 != nil || err3 != nil {
-				return fmt.Errorf("trace: truncated access event")
-			}
-			if obj >= uint64(tr.objs.Len()) {
-				return fmt.Errorf("trace: access to undeclared object %d", obj)
-			}
-			if off >= maxPlausible || size >= maxPlausible {
-				return fmt.Errorf("trace: implausible access %d+%d", off, size)
-			}
-			if in := tr.objs.Get(object.ID(obj)); int64(off)+int64(size) > in.Size {
-				return fmt.Errorf("trace: access %s[%d:%d] outside object of size %d",
-					in.Name, off, off+size, in.Size)
-			}
-			if tag == tagLoad {
-				em.Load(object.ID(obj), int64(off), int64(size))
-			} else {
-				em.Store(object.ID(obj), int64(off), int64(size))
-			}
 		case tagAlloc:
 			obj, err1 := binary.ReadUvarint(tr.br)
 			size, err2 := binary.ReadUvarint(tr.br)
@@ -331,6 +365,65 @@ func (tr *Reader) Replay(h Handler) error {
 			em.Free(object.ID(obj))
 		default:
 			return fmt.Errorf("trace: unknown event tag %#x", tag)
+		}
+	}
+}
+
+// replayAccesses decodes access events, nearly the whole stream, in place
+// from the reader's buffered window, and returns at the first other tag
+// or at the end of the input. It is the only access decoder: it refills
+// the window whenever less than one longest event remains, so a window
+// shorter than that is the end of the input, and a varint that does not
+// decode there is a truncated event.
+func (tr *Reader) replayAccesses(em *Emitter) error {
+	for {
+		// Peek comes back short only at the end of the input or on a
+		// read error; the source repeats its error to Replay's next read.
+		win, _ := tr.br.Peek(maxAccessLen)
+		if len(win) == maxAccessLen {
+			win, _ = tr.br.Peek(tr.br.Buffered())
+		}
+		// Events starting before limit are whole in the window.
+		limit := len(win)
+		if limit >= maxAccessLen {
+			limit -= maxAccessLen - 1
+		}
+		i := 0
+		for i < limit {
+			tag := win[i]
+			if tag != tagLoad && tag != tagStore {
+				_, _ = tr.br.Discard(i)
+				return nil
+			}
+			j := i + 1
+			obj, n1 := binary.Uvarint(win[j:])
+			j += max(n1, 0)
+			off, n2 := binary.Uvarint(win[j:])
+			j += max(n2, 0)
+			size, n3 := binary.Uvarint(win[j:])
+			if n1 <= 0 || n2 <= 0 || n3 <= 0 {
+				return fmt.Errorf("trace: truncated access event")
+			}
+			if obj >= uint64(tr.objs.Len()) {
+				return fmt.Errorf("trace: access to undeclared object %d", obj)
+			}
+			if off >= maxPlausible || size >= maxPlausible {
+				return fmt.Errorf("trace: implausible access %d+%d", off, size)
+			}
+			if in := tr.objs.Get(object.ID(obj)); int64(off)+int64(size) > in.Size {
+				return fmt.Errorf("trace: access %s[%d:%d] outside object of size %d",
+					in.Name, off, off+size, in.Size)
+			}
+			i = j + n3
+			if tag == tagLoad {
+				em.Load(object.ID(obj), int64(off), int64(size))
+			} else {
+				em.Store(object.ID(obj), int64(off), int64(size))
+			}
+		}
+		_, _ = tr.br.Discard(i) // i <= len(win), all of it buffered
+		if len(win) < maxAccessLen {
+			return nil
 		}
 	}
 }

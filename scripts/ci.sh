@@ -25,8 +25,8 @@ fi
 echo "==> test"
 go test ./...
 
-echo "==> cache kernel and sweep replay benchmark smoke"
-go test -run=NONE -bench='TouchBlock|RunSharedReplay' -benchtime=1x ./internal/cache ./internal/sweep
+echo "==> cache kernel, sweep replay and trace store benchmark smoke"
+go test -run=NONE -bench='TouchBlock|RunSharedReplay|StoreReplay' -benchtime=1x ./internal/cache ./internal/sweep ./internal/sim
 
 # CI additionally runs the build-test job on a go-version matrix
 # (1.22.x, 1.23.x); locally you test whatever toolchain is installed.
@@ -75,8 +75,9 @@ wait "$pid"
 
 echo "==> replay determinism (shared store, two-pass)"
 # Pass 1 fills the shared store (CI restores it via actions/cache keyed on
-# sim.TraceGenVersion + go.sum); pass 2 must find it fully warm — any
-# re-record fails via -require-store-hits.
+# sim.TraceGenVersion, the store's frame format in internal/store/frame.go,
+# and go.sum); pass 2 must find it fully warm — any re-record fails via
+# -require-store-hits.
 go run ./cmd/ccdpbench -trace-dir /tmp/ccdp-trace-store -replay-compare -q -out /tmp/bench_replay.json
 go run ./cmd/ccdpbench -trace-dir /tmp/ccdp-trace-store -replay-compare -require-store-hits -q -out /tmp/bench_replay2.json
 
