@@ -181,7 +181,7 @@ type Sim struct {
 	lines []uint64
 
 	// plain is set when no optional policy is on: no classification,
-	// victim cache, prefetch, write-back or attribution. access then runs
+	// victim cache, prefetch, write-back or attribution. Step then runs
 	// the LRU update inline instead of through touchBlock.
 	plain bool
 
@@ -233,7 +233,7 @@ func New(cfg Config, classify bool) (*Sim, error) {
 	return s, nil
 }
 
-// setPlain re-derives whether access may take the policy-free path.
+// setPlain re-derives whether Step may take the policy-free path.
 func (s *Sim) setPlain() {
 	s.plain = !s.classify && s.victim == nil && !s.cfg.Prefetch && !s.cfg.WriteBack && s.attr == nil
 }
@@ -257,7 +257,8 @@ func (s *Sim) Stats() Stats { return s.stats }
 
 // ObjectStats returns per-object (refs, misses) counters indexed by ID.
 // Slices may be shorter than the object table if trailing objects were
-// never referenced.
+// never referenced. A Step-driven simulator's counters are complete only
+// after SetTally.
 func (s *Sim) ObjectStats() (refs, misses []uint64) { return s.objRefs, s.objMisses }
 
 // Access simulates one data read of size bytes at addr, blamed on object
@@ -266,25 +267,36 @@ func (s *Sim) ObjectStats() (refs, misses []uint64) { return s.objRefs, s.objMis
 // block touched). It returns the number of blocks that missed, so a next
 // cache level can be driven from it.
 func (s *Sim) Access(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) int {
-	return s.access(addr, size, cat, obj, false)
+	s.tally(cat, obj)
+	return s.Step(addr, size, cat, obj, false)
 }
 
 // Write simulates one store (write-allocate). With Config.WriteBack set,
 // the touched blocks become dirty and their eventual eviction counts a
 // writeback.
 func (s *Sim) Write(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) int {
-	return s.access(addr, size, cat, obj, true)
+	s.tally(cat, obj)
+	return s.Step(addr, size, cat, obj, true)
 }
 
-func (s *Sim) access(addr addrspace.Addr, size int64, cat object.Category, obj object.ID, write bool) int {
-	if size <= 0 {
-		size = 1
-	}
+// tally counts one reference: the stream-only half of Access, which no
+// geometry changes.
+func (s *Sim) tally(cat object.Category, obj object.ID) {
 	s.stats.Accesses++
 	s.stats.CategoryAccesses[cat]++
 	s.growObj(obj)
 	s.objRefs[obj]++
+}
 
+// Step is the geometry half of Access (write false) and Write (write
+// true): it updates the cache contents and counts misses, per category
+// and per object, but not the reference itself. A caller that runs many
+// geometries over one stream counts the references once and stamps them
+// with SetTally before reading Stats or ObjectStats.
+func (s *Sim) Step(addr addrspace.Addr, size int64, cat object.Category, obj object.ID, write bool) int {
+	if size <= 0 {
+		size = 1
+	}
 	missed := 0
 	first := uint64(addr) >> s.setShift
 	last := uint64(addr+addrspace.Addr(size)-1) >> s.setShift
@@ -308,9 +320,7 @@ func (s *Sim) access(addr addrspace.Addr, size int64, cat object.Category, obj o
 			ways[0] = key
 		}
 		if missed > 0 {
-			s.stats.Misses += uint64(missed)
-			s.stats.CategoryMisses[cat] += uint64(missed)
-			s.objMisses[obj] += uint64(missed)
+			s.countMisses(cat, obj, missed)
 		}
 		return missed
 	}
@@ -341,9 +351,7 @@ func (s *Sim) access(addr addrspace.Addr, size int64, cat object.Category, obj o
 			s.stats.VictimHits++
 		} else {
 			missed++
-			s.stats.Misses++
-			s.stats.CategoryMisses[cat]++
-			s.objMisses[obj]++
+			s.countMisses(cat, obj, 1)
 			if s.classify {
 				s.stats.ClassMisses[s.classifyMiss(blk)]++
 			}
@@ -363,26 +371,72 @@ func (s *Sim) access(addr addrspace.Addr, size int64, cat object.Category, obj o
 	return missed
 }
 
+// countMisses charges n misses to cat and obj. Behind Access the tally has
+// already sized objMisses; behind a bare Step it grows on demand.
+func (s *Sim) countMisses(cat object.Category, obj object.ID, n int) {
+	s.stats.Misses += uint64(n)
+	s.stats.CategoryMisses[cat] += uint64(n)
+	s.objMisses = GrowObjCounts(s.objMisses, obj)
+	s.objMisses[obj] += uint64(n)
+}
+
+// SetTally stamps the reference counts of a Step-driven simulator:
+// accesses and per-category accesses, and the per-object reference
+// counts (copied). The per-object miss counters take refs' length, so
+// ObjectStats reads exactly as if every reference had gone through
+// Access. refs must come from the same stream the steps saw, grown by
+// GrowObjCounts from the same pre-size.
+func (s *Sim) SetTally(accesses uint64, cats [object.NumCategories]uint64, refs []uint64) {
+	s.stats.Accesses = accesses
+	s.stats.CategoryAccesses = cats
+	s.objRefs = append(make([]uint64, 0, len(refs)), refs...)
+	if len(s.objMisses) > len(refs) {
+		// Every object that missed was referenced, so refs covers it:
+		// only zeros fall off.
+		s.objMisses = s.objMisses[:len(refs)]
+	} else {
+		s.objMisses = growCounts(s.objMisses, len(refs))
+	}
+}
+
 // PresizeObjects grows the per-object counters to cover IDs [0, n) up
 // front, so the hot access path never reallocates them when the caller
 // already knows the object-table size. growObj stays as the fallback for
 // IDs allocated after the pre-size (e.g. heap objects born mid-replay).
 func (s *Sim) PresizeObjects(n int) {
-	if n <= len(s.objRefs) {
-		return
+	s.objRefs = growCounts(s.objRefs, n)
+	s.objMisses = growCounts(s.objMisses, n)
+}
+
+// GrowObjCounts returns per-object counters c long enough to index obj:
+// c itself when obj is in range, else c extended to half again past obj.
+// It is the growth rule of a Sim's own counters, so a caller tallying
+// references for SetTally from the same pre-size matches Access's lengths
+// exactly.
+func GrowObjCounts(c []uint64, obj object.ID) []uint64 {
+	if int(obj) < len(c) {
+		return c
 	}
-	refs := make([]uint64, n)
-	copy(refs, s.objRefs)
-	s.objRefs = refs
-	misses := make([]uint64, n)
-	copy(misses, s.objMisses)
-	s.objMisses = misses
+	n := int(obj) + 1
+	return growCounts(c, n+n/2)
 }
 
 func (s *Sim) growObj(obj object.ID) {
-	if n := int(obj) + 1; n > len(s.objRefs) {
-		s.PresizeObjects(n + n/2)
+	if int(obj) >= len(s.objRefs) {
+		s.objRefs = GrowObjCounts(s.objRefs, obj)
+		s.objMisses = growCounts(s.objMisses, len(s.objRefs))
 	}
+}
+
+// growCounts returns c extended with zeros to length n (c itself when it
+// is already that long).
+func growCounts(c []uint64, n int) []uint64 {
+	if n <= len(c) {
+		return c
+	}
+	grown := make([]uint64, n)
+	copy(grown, c)
+	return grown
 }
 
 // ways returns the lines of blk's set, MRU first.

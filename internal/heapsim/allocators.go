@@ -68,9 +68,10 @@ func (t *TemporalFit) Stats() Stats { return t.st }
 // position inside it) or extends the arena with an arbitrary gap. It
 // destroys the incidental locality that first-fit reuse provides.
 type RandomFit struct {
-	a  *arena
-	r  *rng.Source
-	st Stats
+	a    *arena
+	r    *rng.Source
+	st   Stats
+	fits []int // Alloc's candidate scratch, reused across calls
 }
 
 // NewRandomFit returns a random-fit allocator seeded deterministically.
@@ -87,12 +88,13 @@ func (rf *RandomFit) Alloc(size int64, _ uint64, now uint64) addrspace.Addr {
 	rf.st.Allocs++
 	rf.st.BytesCarved += uint64(size)
 	// Collect candidate blocks that fit.
-	var fits []int
+	fits := rf.fits[:0]
 	for i := range rf.a.blocks {
 		if rf.a.blocks[i].size >= size {
 			fits = append(fits, i)
 		}
 	}
+	rf.fits = fits
 	if len(fits) > 0 && rf.r.Float64() < 0.75 {
 		i := fits[rf.r.Intn(len(fits))]
 		b := rf.a.blocks[i]

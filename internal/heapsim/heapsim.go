@@ -75,20 +75,28 @@ func newArena(base addrspace.Addr, limit addrspace.Addr) *arena {
 }
 
 // carve removes [at, at+size) from block index i, splitting as needed, and
-// stamps the remainders' touch times.
+// stamps the remainders' touch times. It works in place: no remnant
+// deletes the block, one overwrites it, and two shift the tail by one.
 func (a *arena) carve(i int, at addrspace.Addr, size int64, now uint64) {
 	b := a.blocks[i]
-	if at < b.start || at+addrspace.Addr(size) > b.end() {
+	end := at + addrspace.Addr(size)
+	if at < b.start || end > b.end() {
 		panic(fmt.Sprintf("heapsim: carve [%#x,+%d) outside block [%#x,+%d)", uint64(at), size, uint64(b.start), b.size))
 	}
-	var repl []freeBlock
-	if at > b.start {
-		repl = append(repl, freeBlock{start: b.start, size: int64(at - b.start), touch: now})
+	head := freeBlock{start: b.start, size: int64(at - b.start), touch: now}
+	tail := freeBlock{start: end, size: int64(b.end() - end), touch: now}
+	switch {
+	case head.size > 0 && tail.size > 0:
+		a.blocks = append(a.blocks, freeBlock{})
+		copy(a.blocks[i+2:], a.blocks[i+1:])
+		a.blocks[i], a.blocks[i+1] = head, tail
+	case head.size > 0:
+		a.blocks[i] = head
+	case tail.size > 0:
+		a.blocks[i] = tail
+	default:
+		a.blocks = append(a.blocks[:i], a.blocks[i+1:]...)
 	}
-	if rest := b.end() - (at + addrspace.Addr(size)); rest > 0 {
-		repl = append(repl, freeBlock{start: at + addrspace.Addr(size), size: int64(rest), touch: now})
-	}
-	a.blocks = append(a.blocks[:i], append(repl, a.blocks[i+1:]...)...)
 }
 
 // extend grows the arena top and returns the old brk.

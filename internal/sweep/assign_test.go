@@ -155,6 +155,7 @@ func BenchmarkRunSharedReplay(b *testing.B) {
 				peak = max(peak, l)
 			}
 			var nanos, events int64
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := p.RunShared(par)
 				if err != nil {

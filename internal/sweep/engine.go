@@ -454,9 +454,14 @@ type batch struct {
 // the shared counter, converts events to recs, and broadcasts full
 // batches. It also measures decode time as the gaps between its
 // callbacks — time spent in the reader and emitter, not in simulation.
+//
+// The counter and objRefs are the replay's one reference tally: every
+// single-level member runs only the cache's geometry step and is stamped
+// from them at result time (cache.Sim.SetTally).
 type collector struct {
 	objs    *object.Table
 	counter *trace.Counter
+	objRefs []uint64 // per-object references, grown by cache.GrowObjCounts
 	st      *exec.Stream[*batch]
 	fl      *exec.FreeList[*batch]
 	cur     *batch
@@ -511,6 +516,8 @@ func (c *collector) add(ev trace.Event) {
 	case trace.Load, trace.Store:
 		r.cat = in.Category
 		r.size = ev.Size
+		c.objRefs = cache.GrowObjCounts(c.objRefs, ev.Obj)
+		c.objRefs[ev.Obj]++
 	case trace.Alloc:
 		r.size = ev.Size
 		r.xor = in.XORName
@@ -679,19 +686,11 @@ func (p *Prep) broadcastProfiles(keys []string, optsFor map[string]sim.Options, 
 	return out, nil
 }
 
-// accessor is the common face of cache.Sim and hierarchy.Sim.
-type accessor interface {
-	Access(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) int
-	Write(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) int
-}
-
 // memberSim is one cell's private simulator inside a layout group.
 type memberSim struct {
-	cell int
-	sim  accessor
-	cs   *cache.Sim     // set for single-level cells
-	hs   *hierarchy.Sim // set for hierarchy cells
-	g    *layoutGroup
+	cs *cache.Sim     // set for single-level cells
+	hs *hierarchy.Sim // set for hierarchy cells
+	g  *layoutGroup
 }
 
 // layoutGroup owns one effective layout: the resolved address space
@@ -702,12 +701,18 @@ type memberSim struct {
 // table growth, same free semantics — which, together with the identity
 // of the grouping key (layout kind, placement, allocator variant, seed),
 // makes every member byte-identical to an independent replay.
+//
+// Single-level members run only the geometry step (cache.Sim.Step): the
+// replay's collector counts each reference once for all of them.
+// Hierarchy members run the full Access/Write, since their L2 sees the
+// L1 miss stream, not the trace.
 type layoutGroup struct {
 	alloc      heapsim.Allocator
 	staticAddr []addrspace.Addr
 	heapAddr   []addrspace.Addr
 	clock      uint64
-	members    []*memberSim
+	sims       []*cache.Sim     // single-level members, stepped directly
+	hiers      []*hierarchy.Sim // hierarchy members
 
 	// prep wiring for CCDP groups; zero for natural/random groups.
 	profKey  string
@@ -729,13 +734,15 @@ func (g *layoutGroup) process(recs []rec) {
 				base = g.staticAddr[r.obj]
 			}
 			addr := base + addrspace.Addr(r.off)
-			if r.kind == trace.Store {
-				for _, m := range g.members {
-					m.sim.Write(addr, r.size, r.cat, r.obj)
-				}
-			} else {
-				for _, m := range g.members {
-					m.sim.Access(addr, r.size, r.cat, r.obj)
+			write := r.kind == trace.Store
+			for _, cs := range g.sims {
+				cs.Step(addr, r.size, r.cat, r.obj, write)
+			}
+			for _, hs := range g.hiers {
+				if write {
+					hs.Write(addr, r.size, r.cat, r.obj)
+				} else {
+					hs.Access(addr, r.size, r.cat, r.obj)
 				}
 			}
 		case trace.Alloc:
@@ -749,6 +756,9 @@ func (g *layoutGroup) process(recs []rec) {
 		}
 	}
 }
+
+// size is the group's member count.
+func (g *layoutGroup) size() int { return len(g.sims) + len(g.hiers) }
 
 // fillStatic resolves every static object's address once for the group.
 func (g *layoutGroup) fillStatic(table *object.Table, lay *layout.Layout) {
@@ -847,7 +857,7 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 			byKey[key] = g
 			groups = append(groups, g)
 		}
-		m := &memberSim{cell: i, g: g}
+		m := &memberSim{g: g}
 		if cell.L2 == nil {
 			cs, err := cache.New(opts.Cache, opts.Classify)
 			if err != nil {
@@ -857,7 +867,8 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 				cs.SetAttribution(cache.NewAttribution(opts.Cache, opts.AttributionPairs))
 			}
 			cs.PresizeObjects(table.Len())
-			m.cs, m.sim = cs, cs
+			m.cs = cs
+			g.sims = append(g.sims, cs)
 		} else {
 			hcfg := hierarchy.Config{L1: cell.Cache, L2: *cell.L2, TLBEntries: cell.TLB}
 			hs, err := hierarchy.New(hcfg)
@@ -868,9 +879,9 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 				hs.SetAttribution(cache.NewAttribution(hcfg.L1, opts.AttributionPairs))
 			}
 			hs.PresizeObjects(table.Len())
-			m.hs, m.sim = hs, hs
+			m.hs = hs
+			g.hiers = append(g.hiers, hs)
 		}
-		g.members = append(g.members, m)
 		memberOf[i] = m
 	}
 
@@ -898,7 +909,7 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 		if g.profKey == "" {
 			continue
 		}
-		demand += len(g.members)
+		demand += g.size()
 		if _, ok := profGroups[g.profKey]; !ok {
 			profKeys = append(profKeys, g.profKey)
 			optsFor[g.profKey] = g.opts
@@ -1045,7 +1056,7 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 	// simulator step per member.
 	weights := make([]int, len(groups))
 	for i, g := range groups {
-		weights[i] = 1 + len(g.members)
+		weights[i] = 1 + g.size()
 	}
 	plan := assignGroups(weights, workers)
 
@@ -1062,10 +1073,13 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 		}
 	})
 
+	// objRefs starts at the size buildGroups pre-sized every member to:
+	// no event has reached the table since.
 	counter := trace.NewCounter(table)
 	col := &collector{
 		objs:     table,
 		counter:  counter,
+		objRefs:  make([]uint64, table.Len()),
 		st:       st,
 		fl:       fl,
 		cur:      fl.Get(),
@@ -1112,6 +1126,7 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 		m := memberOf[i]
 		cr := CellResult{Cell: cell}
 		if m.cs != nil {
+			m.cs.SetTally(counter.Refs(), counter.CategoryRefs, col.objRefs)
 			er := &sim.EvalResult{
 				Layout:  cell.Layout,
 				Stats:   m.cs.Stats(),
