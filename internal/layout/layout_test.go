@@ -116,7 +116,7 @@ func buildPlacedLayout(t *testing.T) (*object.Table, *profile.Profile, *placemen
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := trace.NewEmitter(tbl, p)
+	em := trace.NewEmitter(tbl, trace.NewEnricher(tbl, p))
 	cursor := addrspace.GlobalBase
 	var ids []object.ID
 	for _, size := range []int64{300, 200, 100} {

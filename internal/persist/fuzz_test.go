@@ -25,7 +25,7 @@ func seedArtifacts() (*profile.Profile, *placement.Map, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	em := trace.NewEmitter(tbl, p)
+	em := trace.NewEmitter(tbl, trace.NewEnricher(tbl, p))
 	a := tbl.AddGlobal("a", 128)
 	b := tbl.AddGlobal("b", 256)
 	for i := 0; i < 200; i++ {

@@ -20,7 +20,7 @@ func buildProfile(t *testing.T, stackSize int64, script func(tbl *object.Table, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := trace.NewEmitter(tbl, p)
+	em := trace.NewEmitter(tbl, trace.NewEnricher(tbl, p))
 	script(tbl, em)
 	em.Flush()
 	return p.Finish(), tbl

@@ -52,7 +52,7 @@ func runAdaptive(t *testing.T, cfg Config, wl workload, shards int) (*Sharded, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := trace.NewEmitter(tbl, s)
+	em := trace.NewEmitter(tbl, trace.NewEnricher(tbl, s))
 	wl.run(tbl, em)
 	em.Flush()
 	return s, s.Finish()

@@ -8,37 +8,37 @@ import (
 	"repro/internal/trace"
 )
 
-// benchEvents builds a steady-state reference batch over n small globals
-// with enough alternation that most touches walk the recency queue.
-func benchEvents(tbl *object.Table, n, events int) []trace.Event {
+// benchRecs builds a steady-state record batch over n small globals with
+// enough alternation that most touches walk the recency queue.
+func benchRecs(tbl *object.Table, n, events int) []trace.Rec {
 	ids := make([]object.ID, n)
 	for i := range ids {
 		ids[i] = tbl.AddGlobal(fmt.Sprintf("g%d", i), 256)
 	}
-	evs := make([]trace.Event, events)
-	for i := range evs {
-		evs[i] = trace.Event{Kind: trace.Load, Obj: ids[(i*7+3)%n], Off: 0, Size: 8}
+	en := trace.NewEnricher(tbl, nil)
+	recs := make([]trace.Rec, 0, events)
+	for i := 0; i < events; i++ {
+		recs = en.Append(recs, trace.Event{Kind: trace.Load, Obj: ids[(i*7+3)%n], Off: 0, Size: 8})
 	}
-	return evs
+	return recs
 }
 
-// BenchmarkHandleBatch pins the specialized sequential touch path: the
-// Kind switch and sampling check are hoisted out of the loop, and steady
-// state allocates nothing (b.ReportAllocs makes regressions visible).
-func BenchmarkHandleBatch(b *testing.B) {
+// BenchmarkHandleRecs pins the sequential touch path: steady state
+// allocates nothing (b.ReportAllocs makes regressions visible).
+func BenchmarkHandleRecs(b *testing.B) {
 	tbl := object.NewTable(256)
 	p, err := New(smallConfig(), tbl)
 	if err != nil {
 		b.Fatal(err)
 	}
-	evs := benchEvents(tbl, 24, 1024)
-	p.HandleBatch(evs) // warm: bind nodes, materialize edges
+	recs := benchRecs(tbl, 24, 1024)
+	p.HandleRecs(recs) // warm: bind nodes, materialize edges
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.HandleBatch(evs)
+		p.HandleRecs(recs)
 	}
-	b.SetBytes(int64(len(evs)))
+	b.SetBytes(int64(len(recs)))
 }
 
 // BenchmarkSharded compares the parallel profiler across shard counts on
@@ -59,10 +59,10 @@ func BenchmarkSharded(b *testing.B) {
 				}
 				// 96 globals at 256B overflow the 16KB threshold, so the
 				// queue sits at full length and scans dominate.
-				evs := benchEvents(tbl, 96, 1024)
+				recs := benchRecs(tbl, 96, 1024)
 				b.StartTimer()
 				for batch := 0; batch < 64; batch++ {
-					s.HandleBatch(evs)
+					s.HandleRecs(recs)
 				}
 				s.Finish()
 			}

@@ -22,7 +22,7 @@ func newRig(t *testing.T, cfg Config) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testRig{tbl: tbl, prof: p, em: trace.NewEmitter(tbl, p)}
+	return &testRig{tbl: tbl, prof: p, em: trace.NewEmitter(tbl, trace.NewEnricher(tbl, p))}
 }
 
 // finish flushes any batched events still in the emitter's ring and
@@ -281,7 +281,7 @@ func TestSamplingReducesTRGCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		em := trace.NewEmitter(tbl, p)
+		em := trace.NewEmitter(tbl, trace.NewEnricher(tbl, p))
 		a := tbl.AddGlobal("a", 64)
 		b := tbl.AddGlobal("b", 64)
 		for i := 0; i < 5000; i++ {

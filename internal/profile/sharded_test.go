@@ -99,7 +99,7 @@ func runSequential(t *testing.T, cfg Config, wl workload) *Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := trace.NewEmitter(tbl, p)
+	em := trace.NewEmitter(tbl, trace.NewEnricher(tbl, p))
 	wl.run(tbl, em)
 	em.Flush()
 	return p.Finish()
@@ -112,7 +112,7 @@ func runSharded(t *testing.T, cfg Config, wl workload, shards int, cacheSize int
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := trace.NewEmitter(tbl, s)
+	em := trace.NewEmitter(tbl, trace.NewEnricher(tbl, s))
 	wl.run(tbl, em)
 	em.Flush()
 	return s.Finish()
@@ -211,13 +211,14 @@ func TestShardedSamplingMatchesSequential(t *testing.T) {
 	cfg.SamplePeriod = 10
 	for _, wl := range shardWorkloads {
 		// Unbatched oracle: HandlerFunc does not implement BatchHandler,
-		// so the emitter delivers every event through HandleEvent.
+		// so the emitter delivers every event through HandleEvent and the
+		// profiler receives one record per batch.
 		tbl := object.NewTable(1024)
 		p, err := New(cfg, tbl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		em := trace.NewEmitter(tbl, trace.HandlerFunc(p.HandleEvent))
+		em := trace.NewEmitter(tbl, trace.HandlerFunc(trace.NewEnricher(tbl, p).HandleEvent))
 		wl.run(tbl, em)
 		em.Flush()
 		unbatched := p.Finish()
@@ -348,10 +349,9 @@ func TestQueueFreeListNoAllocs(t *testing.T) {
 	}
 }
 
-// TestHandleBatchSteadyStateAllocs pins the specialized batch touch path:
-// with nodes bound and edges materialized, a batch of loads must not
-// allocate.
-func TestHandleBatchSteadyStateAllocs(t *testing.T) {
+// TestHandleRecsSteadyStateAllocs pins the record touch path: with nodes
+// bound and edges materialized, a batch of loads must not allocate.
+func TestHandleRecsSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
@@ -360,15 +360,16 @@ func TestHandleBatchSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var evs []trace.Event
+	en := trace.NewEnricher(tbl, nil)
+	var recs []trace.Rec
 	for i := 0; i < 8; i++ {
 		id := tbl.AddGlobal(fmt.Sprintf("g%d", i), 64)
-		evs = append(evs, trace.Event{Kind: trace.Load, Obj: id, Off: 0, Size: 8})
+		recs = en.Append(recs, trace.Event{Kind: trace.Load, Obj: id, Off: 0, Size: 8})
 	}
-	p.HandleBatch(evs) // warm: bind nodes, materialize edges
-	p.HandleBatch(evs)
-	avg := testing.AllocsPerRun(200, func() { p.HandleBatch(evs) })
+	p.HandleRecs(recs) // warm: bind nodes, materialize edges
+	p.HandleRecs(recs)
+	avg := testing.AllocsPerRun(200, func() { p.HandleRecs(recs) })
 	if avg != 0 {
-		t.Fatalf("steady-state HandleBatch allocates %v per batch, want 0", avg)
+		t.Fatalf("steady-state HandleRecs allocates %v per batch, want 0", avg)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/hierarchy"
 	"repro/internal/placement"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -40,23 +41,16 @@ func EvalHierarchyFrom(src EventStream, wname string, heapPlace bool, in workloa
 	if err != nil {
 		return nil, err
 	}
-	hs, err := hierarchy.New(hcfg)
+	var g Group
+	g.SetLayout(table, lay, alloc)
+	hs, err := g.AddHier(hcfg, opts, table.Len())
 	if err != nil {
 		return nil, err
 	}
-	if opts.Attribution {
-		hs.SetAttribution(cache.NewAttribution(hcfg.L1, opts.AttributionPairs))
-	}
-	hs.PresizeObjects(table.Len())
-	sink := &resolver{objs: table, lay: lay, alloc: alloc, sim: hs}
-	if err := src.Drive(sink); err != nil {
+	if err := src.Drive(trace.NewEnricher(table, &g)); err != nil {
 		return nil, err
 	}
-	return &HierarchyResult{
-		Workload:    wname,
-		Input:       in,
-		Layout:      kind,
-		Stats:       hs.Stats(),
-		Attribution: hs.Attribution().Stats(),
-	}, nil
+	res := HierResult(hs, kind)
+	res.Workload, res.Input = wname, in
+	return res, nil
 }

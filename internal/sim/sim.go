@@ -144,7 +144,7 @@ type ProfileResult struct {
 
 // profiler is the common face of the sequential and sharded profilers.
 type profiler interface {
-	trace.BatchHandler
+	trace.RecHandler
 	Finish() *profile.Profile
 }
 
@@ -190,12 +190,12 @@ func ProfileFrom(src EventStream, opts Options) (*ProfileResult, error) {
 		}
 		prof = p
 	}
-	counter := trace.NewCounter(table)
-	if err := src.Drive(counter, prof); err != nil {
+	en := trace.NewEnricher(table, prof)
+	if err := src.Drive(en); err != nil {
 		prof.Finish() // drain the shard workers; a failed replay must not leak them
 		return nil, err
 	}
-	return &ProfileResult{Profile: prof.Finish(), Counter: counter, Objects: table}, nil
+	return &ProfileResult{Profile: prof.Finish(), Counter: en.Counter, Objects: table}, nil
 }
 
 // Place computes the CCDP placement for a profile, honouring the
@@ -277,40 +277,22 @@ func EvalFrom(src EventStream, wname string, heapPlace bool, in workload.Input, 
 		return nil, err
 	}
 
-	cs, err := cache.New(opts.Cache, opts.Classify)
+	var g Group
+	g.SetLayout(table, lay, alloc)
+	cs, err := g.AddSim(opts, table.Len())
 	if err != nil {
 		return nil, err
 	}
-	if opts.Attribution {
-		cs.SetAttribution(cache.NewAttribution(opts.Cache, opts.AttributionPairs))
-	}
-	cs.PresizeObjects(table.Len())
-	counter := trace.NewCounter(table)
-	sink := &resolver{objs: table, lay: lay, alloc: alloc, sim: cs, counter: counter}
 	if opts.TrackPages {
-		window := uint64(float64(refsHint) * opts.PageWindowFrac)
-		sink.pages = vmpage.NewTracker(window)
+		g.Pages = vmpage.NewTracker(uint64(float64(refsHint) * opts.PageWindowFrac))
 	}
-
-	if err := src.Drive(sink); err != nil {
+	en := trace.NewEnricher(table, &g)
+	if err := src.Drive(en); err != nil {
 		return nil, err
 	}
 
-	res := &EvalResult{
-		Workload:   wname,
-		Input:      in,
-		Layout:     kind,
-		Stats:      cs.Stats(),
-		Counter:    counter,
-		Objects:    table,
-		AllocStats: alloc.Stats(),
-	}
-	res.ObjRefs, res.ObjMisses = cs.ObjectStats()
-	res.Attribution = cs.Attribution().Stats()
-	if sink.pages != nil {
-		res.TotalPages = sink.pages.TotalPages()
-		res.WorkingSet = sink.pages.WorkingSet()
-	}
+	res := g.Result(cs, en, kind)
+	res.Workload, res.Input = wname, in
 	if m := opts.Metrics; m != nil {
 		m.Add(metrics.SimAccesses, res.Stats.Accesses)
 		m.Add(metrics.SimMisses, res.Stats.Misses)
@@ -388,67 +370,4 @@ func CountRefsFrom(src EventStream) (uint64, error) {
 		return 0, err
 	}
 	return counter.Refs(), nil
-}
-
-// accessor is any cache model the resolver can drive (a single cache or a
-// multi-level hierarchy).
-type accessor interface {
-	Access(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) int
-	Write(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) int
-}
-
-// resolver converts logical events into simulated cache accesses, playing
-// the role of the paper's address-remapping simulation harness.
-type resolver struct {
-	objs     *object.Table
-	lay      *layout.Layout
-	alloc    heapsim.Allocator
-	sim      accessor
-	counter  *trace.Counter
-	pages    *vmpage.Tracker
-	heapAddr []addrspace.Addr
-	clock    uint64
-}
-
-// HandleBatch implements trace.BatchHandler: the simulator consumes runs
-// of loads and stores in one tight loop per batch.
-func (r *resolver) HandleBatch(evs []trace.Event) {
-	for i := range evs {
-		r.HandleEvent(evs[i])
-	}
-}
-
-// HandleEvent implements trace.Handler.
-func (r *resolver) HandleEvent(ev trace.Event) {
-	if r.counter != nil {
-		r.counter.HandleEvent(ev)
-	}
-	in := r.objs.Get(ev.Obj)
-	switch ev.Kind {
-	case trace.Load, trace.Store:
-		r.clock++
-		var base addrspace.Addr
-		if in.Category == object.Heap {
-			base = r.heapAddr[ev.Obj]
-		} else {
-			base = r.lay.Addr(in)
-		}
-		addr := base + addrspace.Addr(ev.Off)
-		if ev.Kind == trace.Store {
-			r.sim.Write(addr, ev.Size, in.Category, ev.Obj)
-		} else {
-			r.sim.Access(addr, ev.Size, in.Category, ev.Obj)
-		}
-		if r.pages != nil {
-			r.pages.Touch(addr, ev.Size)
-		}
-	case trace.Alloc:
-		addr := r.alloc.Alloc(ev.Size, in.XORName, r.clock)
-		for int(ev.Obj) >= len(r.heapAddr) {
-			r.heapAddr = append(r.heapAddr, 0)
-		}
-		r.heapAddr[ev.Obj] = addr
-	case trace.Free:
-		r.alloc.Free(r.heapAddr[ev.Obj], in.Size, r.clock)
-	}
 }

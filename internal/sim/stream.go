@@ -15,14 +15,14 @@ import (
 // byte-for-byte the same object table (the trace header captures the
 // "compiler's" natural-address declarations, specDecls, exactly), so
 // every downstream pass — profiling, placement, cache simulation — is
-// oblivious to the source. A stream drives its handlers exactly once.
+// oblivious to the source. A stream drives its handler exactly once.
 type EventStream interface {
 	// Objects is the table the stream's events reference. For a live
 	// stream it is the freshly materialised spec; for replay it is
 	// reconstructed from the trace header before any event flows.
 	Objects() *object.Table
-	// Drive delivers the full event stream to the handlers, in order.
-	Drive(hs ...trace.Handler) error
+	// Drive delivers the full event stream to h, in order.
+	Drive(h trace.Handler) error
 	// Replayed reports whether the stream decodes a trace file (an
 	// I/O-bound producer) rather than running the model live.
 	Replayed() bool
@@ -33,7 +33,7 @@ type EventStream interface {
 }
 
 // liveStream runs the workload model. The emitter's handler is a mutable
-// tee so the table can be built before the consumers exist.
+// one-slot tee so the table can be built before the consumer exists.
 type liveStream struct {
 	w    workload.Workload
 	in   workload.Input
@@ -46,7 +46,7 @@ type liveStream struct {
 // Live materialises w's spec for a run on the given input. The returned
 // stream's events flow once Drive is called.
 func Live(w workload.Workload, in workload.Input, opts Options) EventStream {
-	tee := make(trace.Tee, 0, 2)
+	tee := make(trace.Tee, 0, 1)
 	ls := &liveStream{w: w, in: in, tee: &tee}
 	ls.objs, ls.prog, ls.em = buildRun(w, in, &tee, opts)
 	return ls
@@ -56,8 +56,8 @@ func (ls *liveStream) Objects() *object.Table { return ls.objs }
 func (ls *liveStream) Replayed() bool         { return false }
 func (ls *liveStream) Close() error           { return nil }
 
-func (ls *liveStream) Drive(hs ...trace.Handler) error {
-	*ls.tee = append(*ls.tee, hs...)
+func (ls *liveStream) Drive(h trace.Handler) error {
+	*ls.tee = append(*ls.tee, h)
 	ls.w.Run(ls.in, ls.prog)
 	ls.em.Flush()
 	return nil
@@ -110,17 +110,11 @@ func (rs *replayStream) Close() error {
 	return c.Close()
 }
 
-// Drive replays the recorded events into the handlers. The StageReplay
-// span covers decode plus in-line handling — the wall-clock cost of
-// driving the pass from a file instead of the live model.
-func (rs *replayStream) Drive(hs ...trace.Handler) error {
+// Drive replays the recorded events into h. The StageReplay span covers
+// decode plus in-line handling — the wall-clock cost of driving the pass
+// from a file instead of the live model.
+func (rs *replayStream) Drive(h trace.Handler) error {
 	span := rs.mc.Start(metrics.StageReplay)
-	var h trace.Handler
-	if len(hs) == 1 {
-		h = hs[0]
-	} else {
-		h = trace.Tee(hs)
-	}
 	err := rs.tr.Replay(h)
 	span.Stop()
 	if cerr := rs.Close(); err == nil {

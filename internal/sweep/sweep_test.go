@@ -9,10 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cache"
-	"repro/internal/exec"
 	"repro/internal/hierarchy"
 	"repro/internal/metrics"
 	"repro/internal/object"
@@ -580,47 +578,56 @@ func TestRunSharedCancelled(t *testing.T) {
 	}
 }
 
-// TestCollectorAbortsMidReplay drives the shared-replay collector
+// TestCollectorAbortsMidReplay drives the shared-replay broadcast
 // directly: once its context is cancelled, already-buffered and
 // subsequent events must be dropped instead of broadcast (Drive has no
 // abort seam, so this is how a running sweep stops within one batch).
 func TestCollectorAbortsMidReplay(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	table := object.NewTable(4096)
-	fl := exec.NewFreeList(2, func() *batch { return &batch{recs: make([]rec, 0, batchSize)} })
 	var delivered atomic.Int32
-	st := exec.NewStream(1, 1, func(w int, b *batch) {
-		delivered.Add(1)
-		if b.pending.Add(-1) == 0 {
-			b.recs = b.recs[:0]
-			fl.Put(b)
-		}
-	})
-	col := &collector{
-		objs:     table,
-		counter:  trace.NewCounter(table),
-		st:       st,
-		fl:       fl,
-		cur:      fl.Get(),
-		workers:  1,
-		ctx:      ctx,
-		lastExit: time.Now(),
-	}
+	bc := newBroadcast(ctx, table, 1, func(int, []trace.Rec) { delivered.Add(1) })
 	ev := trace.Event{Kind: trace.Load, Obj: 0, Size: 4}
 	for i := 0; i < batchSize; i++ {
-		col.HandleEvent(ev) // exactly one full batch: broadcast
+		bc.HandleEvent(ev) // exactly one full batch: broadcast
 	}
 	cancel()
 	for i := 0; i < 2*batchSize; i++ {
-		col.HandleEvent(ev) // post-cancel events: dropped
+		bc.HandleEvent(ev) // post-cancel events: dropped
 	}
-	col.flush()
-	st.Close()
-	if !col.aborted {
-		t.Fatal("collector did not abort after cancellation")
+	bc.flush()
+	bc.st.Close()
+	if !bc.aborted {
+		t.Fatal("broadcast did not abort after cancellation")
 	}
 	if got := delivered.Load(); got != 1 {
 		t.Fatalf("delivered %d batches, want only the pre-cancel one", got)
+	}
+}
+
+// TestProfileBroadcastHonoursCancel holds the train-side broadcast to the
+// same cancellation contract as the test replay: a cancelled request
+// fails the profiling pass with the context error instead of decoding the
+// whole train trace into the builders.
+func TestProfileBroadcastHonoursCancel(t *testing.T) {
+	g := Grid{Sizes: []int64{4096, 8192}, Layouts: []string{"ccdp"}}
+	req := smallRequest(t, "espresso", 0.05, g)
+	ctx, cancel := context.WithCancel(context.Background())
+	req.Context = ctx
+	p := mustPrep(t, req)
+	keys := []string{p.cells[0].profileKey(req.Options)}
+	optsFor := map[string]sim.Options{keys[0]: p.cellOpts[0]}
+
+	if _, err := p.broadcastProfiles(keys, optsFor, 2); err != nil {
+		t.Fatalf("live context: %v", err)
+	}
+	cancel()
+	out, err := p.broadcastProfiles(keys, optsFor, 2)
+	if err == nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
+	}
+	if len(out) != 0 {
+		t.Fatalf("cancelled broadcast returned %d profiles", len(out))
 	}
 }
 

@@ -122,20 +122,23 @@ func NewCounter(objs *object.Table) *Counter {
 func (c *Counter) Refs() uint64 { return c.Loads + c.Stores }
 
 // HandleEvent implements Handler.
-func (c *Counter) HandleEvent(ev Event) {
+func (c *Counter) HandleEvent(ev Event) { c.add(&ev, c.Objects.Get(ev.Obj)) }
+
+// add tallies one event of the object in.
+func (c *Counter) add(ev *Event, in *object.Info) {
 	switch ev.Kind {
 	case Load:
 		c.Loads++
-		c.CategoryRefs[c.Objects.Get(ev.Obj).Category]++
+		c.CategoryRefs[in.Category]++
 	case Store:
 		c.Stores++
-		c.CategoryRefs[c.Objects.Get(ev.Obj).Category]++
+		c.CategoryRefs[in.Category]++
 	case Alloc:
 		c.Allocs++
 		c.AllocBytes += uint64(ev.Size)
 	case Free:
 		c.Frees++
-		c.FreeBytes += uint64(c.Objects.Get(ev.Obj).Size)
+		c.FreeBytes += uint64(in.Size)
 	}
 }
 
