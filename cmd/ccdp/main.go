@@ -239,13 +239,13 @@ func runFromFiles(w workload.Workload, opts sim.Options, layouts []sim.LayoutKin
 		Results:   make(map[string]map[sim.LayoutKind]*sim.EvalResult),
 	}
 	for _, in := range inputs {
+		res, err := sim.EvalLayouts(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, layouts, pr, pm, opts, 0)
+		if err != nil {
+			return nil, err
+		}
 		byLayout := make(map[sim.LayoutKind]*sim.EvalResult, len(layouts))
-		for _, kind := range layouts {
-			res, err := sim.EvalPass(w, in, kind, pr, pm, opts, 0)
-			if err != nil {
-				return nil, err
-			}
-			byLayout[kind] = res
+		for i, kind := range layouts {
+			byLayout[kind] = res[i]
 		}
 		cmp.Results[in.Label] = byLayout
 	}

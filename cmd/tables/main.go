@@ -306,24 +306,19 @@ func runVictim(ws []workload.Workload, scale float64) {
 			fmt.Fprintln(os.Stderr, err)
 			return
 		}
+		// quad: natural, natural+victim, CCDP, CCDP+victim.
 		var quad [4]*sim.EvalResult
-		for i, variant := range []struct {
-			kind   sim.LayoutKind
-			victim bool
-		}{
-			{sim.LayoutNatural, false}, {sim.LayoutNatural, true},
-			{sim.LayoutCCDP, false}, {sim.LayoutCCDP, true},
-		} {
+		for i, victim := range []bool{false, true} {
 			opts := base
-			if variant.victim {
+			if victim {
 				opts.Cache.VictimEntries = entries
 			}
-			res, err := sim.EvalPass(w, test, variant.kind, pr, pa.pm, opts, 0)
+			res, err := sim.EvalLayouts(sim.Live(w, test, opts), w.Name(), w.HeapPlacement(), test, natCCDP, pr, pa.pm, opts, 0)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return
 			}
-			quad[i] = res
+			quad[i], quad[2+i] = res[0], res[1]
 		}
 		rows[w.Name()] = quad
 		order = append(order, w.Name())
@@ -358,6 +353,9 @@ func pipelineFor(w workload.Workload, scale float64, opts sim.Options) (*sim.Pro
 
 type placementArtifacts struct{ pm *placement.Map }
 
+// natCCDP is the layout pair most tables evaluate in one pass.
+var natCCDP = []sim.LayoutKind{sim.LayoutNatural, sim.LayoutCCDP}
+
 // runClasses prints the three-C miss breakdown, original vs CCDP.
 func runClasses(ws []workload.Workload, scale float64) {
 	opts := sim.DefaultOptions()
@@ -370,17 +368,12 @@ func runClasses(ws []workload.Workload, scale float64) {
 			fmt.Fprintln(os.Stderr, err)
 			return
 		}
-		nat, err := sim.EvalPass(w, test, sim.LayoutNatural, nil, nil, opts, 0)
+		res, err := sim.EvalLayouts(sim.Live(w, test, opts), w.Name(), w.HeapPlacement(), test, natCCDP, pr, pa.pm, opts, 0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return
 		}
-		ccdp, err := sim.EvalPass(w, test, sim.LayoutCCDP, pr, pa.pm, opts, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		rows[w.Name()] = [2]*sim.EvalResult{nat, ccdp}
+		rows[w.Name()] = [2]*sim.EvalResult{res[0], res[1]}
 		order = append(order, w.Name())
 	}
 	fmt.Println(report.ClassTable(rows, order))
@@ -397,22 +390,17 @@ func runPrefetch(ws []workload.Workload, scale float64) {
 			fmt.Fprintln(os.Stderr, err)
 			return
 		}
+		// quad: natural, natural+prefetch, CCDP, CCDP+prefetch.
 		var quad [4]*sim.EvalResult
-		for i, variant := range []struct {
-			kind sim.LayoutKind
-			pf   bool
-		}{
-			{sim.LayoutNatural, false}, {sim.LayoutNatural, true},
-			{sim.LayoutCCDP, false}, {sim.LayoutCCDP, true},
-		} {
+		for i, pf := range []bool{false, true} {
 			opts := base
-			opts.Cache.Prefetch = variant.pf
-			res, err := sim.EvalPass(w, test, variant.kind, pr, pa.pm, opts, 0)
+			opts.Cache.Prefetch = pf
+			res, err := sim.EvalLayouts(sim.Live(w, test, opts), w.Name(), w.HeapPlacement(), test, natCCDP, pr, pa.pm, opts, 0)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return
 			}
-			quad[i] = res
+			quad[i], quad[2+i] = res[0], res[1]
 		}
 		rows[w.Name()] = quad
 		order = append(order, w.Name())
@@ -493,16 +481,12 @@ func runSweep(scale float64) {
 		for _, cc := range targets {
 			evalOpts := opts
 			evalOpts.Cache = cc
-			nat, err := sim.EvalPass(w, test, sim.LayoutNatural, nil, nil, evalOpts, 0)
+			res, err := sim.EvalLayouts(sim.Live(w, test, evalOpts), w.Name(), w.HeapPlacement(), test, natCCDP, pr, pm, evalOpts, 0)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return
 			}
-			ccdp, err := sim.EvalPass(w, test, sim.LayoutCCDP, pr, pm, evalOpts, 0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
+			nat, ccdp := res[0], res[1]
 			red := 0.0
 			if nat.MissRate() > 0 {
 				red = 100 * (nat.MissRate() - ccdp.MissRate()) / nat.MissRate()

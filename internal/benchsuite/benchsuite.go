@@ -49,9 +49,10 @@ func RunWorkloads(names []string, opts sim.Options, layouts []sim.LayoutKind, sc
 // outer fan-out cannot use — when the workload count is below the pool
 // size — are donated inward: each experiment runs with parallelism
 // floor(pool/workloads) (at least 1), which its profile stage spends on
-// TRG shard workers and its evaluation stage on concurrent (input ×
-// layout) units. Inner parallelism never changes results, so the donation
-// only moves wall clock.
+// TRG shard workers and its evaluation stage on concurrent per-input
+// passes (each decodes its input once for every layout). Inner
+// parallelism never changes results, so the donation only moves wall
+// clock.
 func RunExperiments(names []string, opts sim.Options, layouts []sim.LayoutKind, scale float64, tc sim.TraceConfig) ([]*core.Comparison, error) {
 	return runExperiments(context.Background(), names, opts, layouts, scale, tc, nil, nil, nil, nil)
 }

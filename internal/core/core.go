@@ -75,19 +75,22 @@ type Experiment struct {
 
 	// Ledger, when non-nil, receives structured run events as the
 	// experiment executes: workload start/end, per-stage spans, the
-	// placement's phase-6 merge decisions, and one eval summary per
-	// (input × layout) unit. The writer is safe for concurrent use, so
+	// placement's phase-6 merge decisions, and one span and eval summary
+	// per (input × layout) unit, every unit's span covering its input's
+	// shared evaluation pass. The writer is safe for concurrent use, so
 	// one ledger may be shared across parallel experiments.
 	Ledger *ledger.Writer
 	// OnStage, when non-nil, is called as each pipeline stage of this
-	// experiment begins (profile, place, then once per evaluation unit).
+	// experiment begins (profile, place, then once per evaluation unit,
+	// all of one input's units as its shared pass begins).
 	// It may be called from worker goroutines; keep it cheap and
 	// thread-safe. Progress displays hang off this hook.
 	OnStage func(workload string, stage metrics.Stage)
 	// OnSpan, when non-nil, observes each completed pipeline stage —
 	// fired exactly where the ledger's span events are emitted (profile,
 	// place, then one per evaluation unit), with the same start/wall
-	// interval. label is "input/layout" for eval units, SpanLabelMemo for
+	// interval; an eval unit's interval is its input's shared pass.
+	// label is "input/layout" for eval units, SpanLabelMemo for
 	// a profile served from Profiles, and "" otherwise. Like OnStage it
 	// may fire from worker goroutines, and like the ledger it is
 	// observation-only: results are byte-identical with or without it.
@@ -96,11 +99,11 @@ type Experiment struct {
 
 	// Context, when non-nil, cancels the experiment: RunExperiment
 	// checks it at every stage boundary (before profiling, placement,
-	// and each evaluation unit) and returns the context's error instead
-	// of starting the next stage. A stage already running completes —
-	// cancellation never yields a partial Comparison, only an error.
-	// The job manager in internal/server cancels queued and running
-	// jobs through this. Nil means run to completion.
+	// and each input's evaluation pass) and returns the context's error
+	// instead of starting the next stage. A stage already running
+	// completes — cancellation never yields a partial Comparison, only an
+	// error. The job manager in internal/server cancels queued and
+	// running jobs through this. Nil means run to completion.
 	Context context.Context
 }
 
@@ -119,12 +122,13 @@ func Run(w workload.Workload, opts sim.Options, layouts []sim.LayoutKind, inputs
 
 // RunExperiment executes one Experiment.
 //
-// After the shared profile/placement step the (input × layout) evaluation
-// passes are independent: each builds its own object table, layout, and
-// cache model, and reads the profile/placement read-only. With
-// opts.Parallelism > 1 they fan out across a bounded worker pool;
-// results are keyed and reassembled in canonical (input, layout) order,
-// so the Comparison is bit-identical to a sequential run.
+// After the shared profile/placement step each input is evaluated in one
+// pass: its stream is opened and decoded once and feeds one sim.Group per
+// layout (sim.EvalLayouts), each with its own layout, allocator and cache
+// model, all reading the profile/placement read-only. The inputs' passes
+// are independent; with opts.Parallelism > 1 they fan out across a
+// bounded worker pool, and results are reassembled in canonical (input,
+// layout) order, so the Comparison is bit-identical to a sequential run.
 //
 // With e.Trace enabled, every pass is driven from trace files instead of
 // the live model: each input's stream is recorded once (a pure record
@@ -171,8 +175,7 @@ func RunExperiment(e Experiment) (*Comparison, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling %s: %w", w.Name(), err)
 	}
-	e.Ledger.Span(w.Name(), metrics.StageProfile.String(), profStart, time.Since(profStart))
-	e.span(w.Name(), metrics.StageProfile, profLabel, profStart)
+	e.done(w.Name(), metrics.StageProfile, profLabel, profStart, time.Since(profStart))
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s cancelled before placement: %w", w.Name(), err)
@@ -183,8 +186,7 @@ func RunExperiment(e Experiment) (*Comparison, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: placing %s: %w", w.Name(), err)
 	}
-	e.Ledger.Span(w.Name(), metrics.StagePlace.String(), placeStart, time.Since(placeStart))
-	e.span(w.Name(), metrics.StagePlace, "", placeStart)
+	e.done(w.Name(), metrics.StagePlace, "", placeStart, time.Since(placeStart))
 	e.Ledger.Placement(ledgerPlacement(w.Name(), pm))
 
 	c := &Comparison{
@@ -197,11 +199,8 @@ func RunExperiment(e Experiment) (*Comparison, error) {
 
 	// The refs hint (which sizes the paging tracker's working-set window)
 	// is an exact per-input quantity, identical for every layout of that
-	// input. Resolve it once up front — reusing the profile pass's count
-	// when an input is the profiled train input, instead of re-counting —
-	// and share it across inputs and layouts. The seed chained the hint
-	// from layout to layout within one input, which produced these same
-	// exact values one CountRefs pass later.
+	// input. Resolve it once up front, reusing the profile pass's count
+	// when an input is the profiled train input instead of re-counting.
 	hints := make([]uint64, len(inputs))
 	if opts.TrackPages {
 		for i, in := range inputs {
@@ -213,70 +212,65 @@ func RunExperiment(e Experiment) (*Comparison, error) {
 		}
 	}
 
-	type unit struct{ input, layout int }
-	units := make([]unit, 0, len(inputs)*len(layouts))
-	for i := range inputs {
-		for l := range layouts {
-			units = append(units, unit{input: i, layout: l})
-		}
-	}
-
-	// evalUnit runs one (input × layout) pass with its observability
-	// wrapping: the OnStage hook, a ledger span, and an eval summary.
-	// Both the sequential and the parallel path route through it, so a
-	// ledger records the same events either way (span interleaving and
-	// timing differ; results and summaries do not).
-	evalUnit := func(in workload.Input, kind sim.LayoutKind, passOpts sim.Options, hint uint64) (*sim.EvalResult, error) {
+	// evalInput evaluates every layout on input i in one pass, wrapped per
+	// (input × layout) unit in an OnStage call, a span and an eval
+	// summary, each unit's interval being the shared pass. Both the
+	// sequential and the parallel path route through it, so a ledger
+	// records the same events either way (span interleaving and timing
+	// differ; results and summaries do not).
+	evalInput := func(i int, passOpts sim.Options) ([]*sim.EvalResult, error) {
+		in := inputs[i]
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s cancelled before evaluating %s/%s: %w", w.Name(), in.Label, kind, err)
+			return nil, fmt.Errorf("core: %s cancelled before evaluating %s: %w", w.Name(), in.Label, err)
 		}
-		e.stage(w.Name(), metrics.StageEval)
+		for range layouts {
+			e.stage(w.Name(), metrics.StageEval)
+		}
 		start := time.Now()
-		res, err := evalPass(store, w, in, kind, pr, pm, passOpts, hint)
-		if err != nil {
-			return nil, fmt.Errorf("core: evaluating %s/%s/%s: %w", w.Name(), in.Label, kind, err)
+		src, err := open(store, w, in, passOpts)
+		var res []*sim.EvalResult
+		if err == nil {
+			res, err = sim.EvalLayouts(src, w.Name(), w.HeapPlacement(), in, layouts, pr, pm, passOpts, hints[i])
 		}
-		e.Ledger.Span(w.Name(), metrics.StageEval.String(), start, time.Since(start))
-		e.span(w.Name(), metrics.StageEval, in.Label+"/"+string(kind), start)
-		e.Ledger.Eval(ledgerEval(res))
+		if err != nil {
+			return nil, fmt.Errorf("core: evaluating %s/%s: %w", w.Name(), in.Label, err)
+		}
+		wall := time.Since(start)
+		for _, r := range res {
+			e.done(w.Name(), metrics.StageEval, in.Label+"/"+string(r.Layout), start, wall)
+			e.Ledger.Eval(ledgerEval(r))
+		}
 		return res, nil
 	}
 
-	var results []*sim.EvalResult
-	if opts.Parallelism > 1 && len(units) > 1 {
-		tasks := make([]exec.Task[*sim.EvalResult], len(units))
-		for ui, u := range units {
-			u := u
-			tasks[ui] = func(_ context.Context, mc *metrics.Collector) (*sim.EvalResult, error) {
+	var results [][]*sim.EvalResult
+	if opts.Parallelism > 1 && len(inputs) > 1 {
+		tasks := make([]exec.Task[[]*sim.EvalResult], len(inputs))
+		for i := range inputs {
+			tasks[i] = func(_ context.Context, mc *metrics.Collector) ([]*sim.EvalResult, error) {
 				passOpts := opts
 				passOpts.Metrics = mc
-				return evalUnit(inputs[u.input], layouts[u.layout], passOpts, hints[u.input])
+				return evalInput(i, passOpts)
 			}
 		}
-		var err error
-		results, err = exec.Map(ctx, opts.Parallelism, opts.Metrics, tasks)
-		if err != nil {
+		if results, err = exec.Map(ctx, opts.Parallelism, opts.Metrics, tasks); err != nil {
 			return nil, err
 		}
 	} else {
-		results = make([]*sim.EvalResult, len(units))
-		for ui, u := range units {
-			res, err := evalUnit(inputs[u.input], layouts[u.layout], opts, hints[u.input])
-			if err != nil {
+		results = make([][]*sim.EvalResult, len(inputs))
+		for i := range inputs {
+			if results[i], err = evalInput(i, opts); err != nil {
 				return nil, err
 			}
-			results[ui] = res
 		}
 	}
 
-	for ui, u := range units {
-		in := inputs[u.input]
-		byLayout := c.Results[in.Label]
-		if byLayout == nil {
-			byLayout = make(map[sim.LayoutKind]*sim.EvalResult, len(layouts))
-			c.Results[in.Label] = byLayout
+	for i, in := range inputs {
+		byLayout := make(map[sim.LayoutKind]*sim.EvalResult, len(layouts))
+		for l, kind := range layouts {
+			byLayout[kind] = results[i][l]
 		}
-		byLayout[layouts[u.layout]] = results[ui]
+		c.Results[in.Label] = byLayout
 	}
 	if e.Ledger != nil {
 		we := ledger.WorkloadEnd{Workload: w.Name()}
@@ -297,10 +291,12 @@ func (e *Experiment) stage(workload string, s metrics.Stage) {
 	}
 }
 
-// span fires the experiment's OnSpan hook, if any.
-func (e *Experiment) span(workload string, s metrics.Stage, label string, start time.Time) {
+// done records a completed stage: a ledger span, and the experiment's
+// OnSpan hook, if any.
+func (e *Experiment) done(workload string, s metrics.Stage, label string, start time.Time, wall time.Duration) {
+	e.Ledger.Span(workload, s.String(), start, wall)
 	if e.OnSpan != nil {
-		e.OnSpan(workload, s, label, start, time.Since(start))
+		e.OnSpan(workload, s, label, start, wall)
 	}
 }
 
@@ -373,7 +369,11 @@ func (e *Experiment) profile(store *sim.TraceStore, w workload.Workload, opts si
 		opts.Metrics.Start(metrics.StageProfile).Stop()
 		return pr, SpanLabelMemo, nil
 	}
-	pr, err := profilePass(store, w, opts)
+	src, err := open(store, w, w.Train(), opts)
+	if err != nil {
+		return nil, "", err
+	}
+	pr, err := sim.ProfileFrom(src, opts)
 	if err != nil {
 		return nil, "", err
 	}
@@ -381,41 +381,22 @@ func (e *Experiment) profile(store *sim.TraceStore, w workload.Workload, opts si
 	return pr, "", nil
 }
 
-// profilePass profiles the train input, live or from the trace store.
-func profilePass(store *sim.TraceStore, w workload.Workload, opts sim.Options) (*sim.ProfileResult, error) {
+// open returns in's event stream: live, or replayed from the trace store.
+func open(store *sim.TraceStore, w workload.Workload, in workload.Input, opts sim.Options) (sim.EventStream, error) {
 	if store == nil {
-		return sim.ProfilePass(w, w.Train(), opts)
+		return sim.Live(w, in, opts), nil
 	}
-	src, err := store.Open(w.Train(), opts)
-	if err != nil {
-		return nil, err
-	}
-	return sim.ProfileFrom(src, opts)
+	return store.Open(in, opts)
 }
 
 // countRefs sizes a working-set window, live or from the trace store. The
 // sizing pass never feeds the metrics collector (CountRefs's contract), so
-// the trace replay opens with a nil collector too.
+// the stream opens with a nil collector.
 func countRefs(store *sim.TraceStore, w workload.Workload, in workload.Input, opts sim.Options) (uint64, error) {
-	if store == nil {
-		return sim.CountRefs(w, in, opts), nil
-	}
 	opts.Metrics = nil
-	src, err := store.Open(in, opts)
+	src, err := open(store, w, in, opts)
 	if err != nil {
 		return 0, err
 	}
 	return sim.CountRefsFrom(src)
-}
-
-// evalPass runs one evaluation unit, live or from the trace store.
-func evalPass(store *sim.TraceStore, w workload.Workload, in workload.Input, kind sim.LayoutKind, pr *sim.ProfileResult, pm *placement.Map, opts sim.Options, hint uint64) (*sim.EvalResult, error) {
-	if store == nil {
-		return sim.EvalPass(w, in, kind, pr, pm, opts, hint)
-	}
-	src, err := store.Open(in, opts)
-	if err != nil {
-		return nil, err
-	}
-	return sim.EvalFrom(src, w.Name(), w.HeapPlacement(), in, kind, pr, pm, opts, hint)
 }

@@ -1,9 +1,10 @@
 // Package exec is the experiment engine's worker-pool scheduler. The
 // CCDP evaluation is embarrassingly parallel — workloads in the bench
-// suite, and (input × layout) evaluation passes within one workload's
-// experiment, share no mutable state — so the scheduler's only jobs are
-// bounding concurrency, keeping results deterministic, and folding
-// per-worker instrumentation back together:
+// suite, and the per-input evaluation passes within one workload's
+// experiment (each feeding every layout from one decode), share no
+// mutable state — so the scheduler's only jobs are bounding concurrency,
+// keeping results deterministic, and folding per-worker instrumentation
+// back together:
 //
 //   - results are keyed by task index and reassembled in input order, so
 //     callers observe exactly the sequential ordering regardless of which

@@ -16,9 +16,10 @@ import (
 // (object, offset) to an address under one layout — statics through a
 // table filled once from the layout, heap objects through the allocator,
 // driven by a clock that ticks on loads and stores only — and hands the
-// address to every member simulator. Every evaluation runs through it: a
-// single pass is a group of one member, and the sweep engine shares one
-// group among all cells with the same effective layout.
+// address to every member simulator. Every evaluation runs through it: an
+// EvalLayouts pass feeds one group of one member per layout from a single
+// enricher, and the sweep engine shares one group among all cells with
+// the same effective layout.
 //
 // Single-level members run only the cache's geometry step
 // (cache.Sim.Step): the stream's reference tally is the Enricher's, and
@@ -120,6 +121,16 @@ func (g *Group) HandleRecs(recs []trace.Rec) {
 		case trace.Free:
 			g.alloc.Free(g.heapAddr[r.Obj], r.Size, g.clock)
 		}
+	}
+}
+
+// groups is a sink that hands each record batch to every group in turn.
+type groups []Group
+
+// HandleRecs implements trace.RecHandler.
+func (gs groups) HandleRecs(recs []trace.Rec) {
+	for i := range gs {
+		gs[i].HandleRecs(recs)
 	}
 }
 

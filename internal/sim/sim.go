@@ -50,9 +50,9 @@ type Options struct {
 	HeapFit string
 
 	// Parallelism bounds how many independent pipeline units run
-	// concurrently: evaluation passes inside core.Run, whole workloads
-	// inside benchsuite, and the per-cache-set shard workers of the
-	// profiling pass's TRG build. Values <= 1 run sequentially; 0 is
+	// concurrently: per-input evaluation passes inside core.Run, whole
+	// workloads inside benchsuite, and the per-cache-set shard workers of
+	// the profiling pass's TRG build. Values <= 1 run sequentially; 0 is
 	// the conservative sequential default so existing callers are
 	// unchanged. Results are bit-identical at any setting — every pass
 	// is deterministic and shares only read-only state (see DESIGN.md,
@@ -221,7 +221,9 @@ const (
 	LayoutRandom  LayoutKind = "random"
 )
 
-// EvalResult is the outcome of one evaluation pass.
+// EvalResult is the outcome of one evaluation pass. The results that
+// EvalLayouts returns for one stream share its Counter and Objects; treat
+// both as read-only.
 type EvalResult struct {
 	Workload string
 	Input    workload.Input
@@ -267,39 +269,57 @@ func EvalPass(w workload.Workload, in workload.Input, kind LayoutKind, pr *Profi
 // caller must supply the exact refsHint — a replay cannot be re-driven to
 // count; use CountRefsFrom on a second stream of the same trace.
 func EvalFrom(src EventStream, wname string, heapPlace bool, in workload.Input, kind LayoutKind, pr *ProfileResult, pm *placement.Map, opts Options, refsHint uint64) (*EvalResult, error) {
-	span := opts.Metrics.Start(metrics.StageEval)
-	defer span.Stop()
+	res, err := EvalLayouts(src, wname, heapPlace, in, []LayoutKind{kind}, pr, pm, opts, refsHint)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// EvalLayouts is EvalFrom for several layout kinds over one drive of src:
+// one Enricher feeds one Group per kind, each with its own layout,
+// allocator, cache model and page tracker. Results come back in kinds
+// order, each byte-identical to EvalFrom's, and the collector sees one
+// StageEval span per kind, each covering the shared pass.
+func EvalLayouts(src EventStream, wname string, heapPlace bool, in workload.Input, kinds []LayoutKind, pr *ProfileResult, pm *placement.Map, opts Options, refsHint uint64) ([]*EvalResult, error) {
+	for range kinds {
+		defer opts.Metrics.Start(metrics.StageEval).Stop()
+	}
 	defer src.Close()
 
 	table := src.Objects()
-	lay, alloc, err := BuildLayout(table, kind, heapPlace, pr, pm, opts)
-	if err != nil {
-		return nil, err
+	gs := make(groups, len(kinds))
+	for i, kind := range kinds {
+		lay, alloc, err := BuildLayout(table, kind, heapPlace, pr, pm, opts)
+		if err != nil {
+			return nil, err
+		}
+		gs[i].SetLayout(table, lay, alloc)
+		if _, err := gs[i].AddSim(opts, table.Len()); err != nil {
+			return nil, err
+		}
+		if opts.TrackPages {
+			gs[i].Pages = vmpage.NewTracker(uint64(float64(refsHint) * opts.PageWindowFrac))
+		}
 	}
-
-	var g Group
-	g.SetLayout(table, lay, alloc)
-	cs, err := g.AddSim(opts, table.Len())
-	if err != nil {
-		return nil, err
-	}
-	if opts.TrackPages {
-		g.Pages = vmpage.NewTracker(uint64(float64(refsHint) * opts.PageWindowFrac))
-	}
-	en := trace.NewEnricher(table, &g)
+	en := trace.NewEnricher(table, gs)
 	if err := src.Drive(en); err != nil {
 		return nil, err
 	}
 
-	res := g.Result(cs, en, kind)
-	res.Workload, res.Input = wname, in
-	if m := opts.Metrics; m != nil {
-		m.Add(metrics.SimAccesses, res.Stats.Accesses)
-		m.Add(metrics.SimMisses, res.Stats.Misses)
-		m.AddNamed("sim.hits."+string(kind), res.Stats.Accesses-res.Stats.Misses)
-		m.AddNamed("sim.misses."+string(kind), res.Stats.Misses)
+	out := make([]*EvalResult, len(kinds))
+	for i, kind := range kinds {
+		res := gs[i].Result(gs[i].Sims[0], en, kind)
+		res.Workload, res.Input = wname, in
+		if m := opts.Metrics; m != nil {
+			m.Add(metrics.SimAccesses, res.Stats.Accesses)
+			m.Add(metrics.SimMisses, res.Stats.Misses)
+			m.AddNamed("sim.hits."+string(kind), res.Stats.Accesses-res.Stats.Misses)
+			m.AddNamed("sim.misses."+string(kind), res.Stats.Misses)
+		}
+		out[i] = res
 	}
-	return res, nil
+	return out, nil
 }
 
 // BuildLayout materializes the address layout and heap allocator for one

@@ -41,7 +41,7 @@ func (tc TraceConfig) storeConfig(mc *metrics.Collector) store.Config {
 // at most once per store directory — across goroutines via the store's
 // in-directory claim protocol, and across processes the same way — and
 // every later Open replays the stored entry. Safe for concurrent use
-// by the parallel evaluation units.
+// by an experiment's parallel per-input evaluation passes.
 type TraceStore struct {
 	cfg TraceConfig
 	w   workload.Workload

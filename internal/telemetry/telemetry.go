@@ -185,7 +185,8 @@ func (r *Recorder) StageBegin(workload string, stage metrics.Stage) {
 
 // SpanDone records a completed pipeline stage — the
 // core.Experiment.OnSpan signal. label distinguishes sibling spans of
-// one stage kind (eval units pass "input/layout").
+// one stage kind (eval units pass "input/layout"; the units of one input
+// share its evaluation pass, so their intervals coincide).
 func (r *Recorder) SpanDone(workload string, stage metrics.Stage, label string, start time.Time, wall time.Duration) {
 	if r == nil {
 		return
