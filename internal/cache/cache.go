@@ -302,22 +302,9 @@ func (s *Sim) Step(addr addrspace.Addr, size int64, cat object.Category, obj obj
 	last := uint64(addr+addrspace.Addr(size)-1) >> s.setShift
 	if s.plain {
 		for blk := first; blk <= last; blk++ {
-			ways, key := s.ways(blk), s.lineKey(blk)
-			if ways[0] == key {
-				continue
-			}
-			i := 1
-			for i < len(ways) && ways[i] != key {
-				i++
-			}
-			if i == len(ways) {
+			if s.stepPlain(blk) {
 				missed++
-				i-- // the LRU line drops out
 			}
-			for ; i > 0; i-- {
-				ways[i] = ways[i-1]
-			}
-			ways[0] = key
 		}
 		if missed > 0 {
 			s.countMisses(cat, obj, missed)
@@ -369,6 +356,48 @@ func (s *Sim) Step(addr addrspace.Addr, size int64, cat object.Category, obj obj
 		}
 	}
 	return missed
+}
+
+// stepPlain moves blk to the MRU line of its set, the LRU line dropping
+// out on a miss, with no policy on. It reports whether blk missed.
+func (s *Sim) stepPlain(blk uint64) bool {
+	ways, key := s.ways(blk), s.lineKey(blk)
+	if ways[0] == key {
+		return false
+	}
+	i := 0
+	for i < len(ways)-1 && ways[i] != key {
+		i++
+	}
+	miss := ways[i] != key // i is the LRU line, which drops out
+	for ; i > 0; i-- {
+		ways[i] = ways[i-1]
+	}
+	ways[0] = key
+	return miss
+}
+
+// BlockRef is one block touch of a reference stream, charged to the
+// referencing object and its category.
+type BlockRef struct {
+	Blk uint64
+	Obj object.ID
+	Cat object.Category
+}
+
+// Plain reports whether no optional policy is on (see StepBlocks).
+func (s *Sim) Plain() bool { return s.plain }
+
+// StepBlocks is Step over block touches at this line size, for a plain
+// simulator only; misses counted per block sum to Step's totals. A touch
+// of its set's MRU line changes nothing, so a caller may drop touches it
+// knows are such hits (trace stripping).
+func (s *Sim) StepBlocks(refs []BlockRef) {
+	for i := range refs {
+		if s.stepPlain(refs[i].Blk) {
+			s.countMisses(refs[i].Cat, refs[i].Obj, 1)
+		}
+	}
 }
 
 // countMisses charges n misses to cat and obj. Behind Access the tally has

@@ -73,8 +73,9 @@ const (
 	// broadcast to the per-cell evaluators.
 	SweepCells
 	SweepBatches
-	// SweepLayoutGroups counts the layout groups the shared engine's cells
-	// resolved into (each group resolves addresses once for its members).
+	// SweepLayoutGroups counts the layout groups the shared engine
+	// replays, after identical carved CCDP layouts merge (each group
+	// resolves addresses once for its members).
 	SweepLayoutGroups
 	// SweepProfilesBroadcast counts distinct profile configs built by the
 	// decode-once multi-profile pass; SweepProfilesDeduped counts the

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/bits"
+	"slices"
+
 	"repro/internal/addrspace"
 	"repro/internal/cache"
 	"repro/internal/heapsim"
@@ -23,8 +26,10 @@ import (
 //
 // Single-level members run only the cache's geometry step
 // (cache.Sim.Step): the stream's reference tally is the Enricher's, and
-// Result stamps it onto them. Hierarchy members run the full
+// Result stamps it onto them; plain members that share a line size are
+// trace-stripped (see stripe). Hierarchy members run the full
 // Access/Write, since their L2 sees the L1 miss stream, not the trace.
+// Members must be attached before the first record.
 type Group struct {
 	Sims  []*cache.Sim
 	Hiers []*hierarchy.Sim
@@ -36,6 +41,69 @@ type Group struct {
 	staticAddr []addrspace.Addr
 	heapAddr   []addrspace.Addr
 	clock      uint64
+
+	// split is set once Sims are divided into stripes and steps.
+	split   bool
+	stripes []*stripe
+	steps   []*cache.Sim
+}
+
+// stripe is Puzak's trace stripping for the plain members of one line
+// size: a direct-mapped filter with their smallest set count passes on
+// only the block touches it misses. Set counts are powers of two, so the
+// blocks mapping to a member's set all map to the filter line: a filter
+// hit finds the block already MRU in its set in every member, a touch
+// that changes no LRU state and cannot miss.
+type stripe struct {
+	shift, tagShift uint
+	mask            uint64
+	tags            []uint64 // per filter line: its block's tag + 1, 0 empty
+	sims            []*cache.Sim
+	buf             []cache.BlockRef // this batch's filter misses
+}
+
+// touch passes a reference's blocks through the filter, buffering misses.
+func (st *stripe) touch(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) {
+	if size <= 0 {
+		size = 1
+	}
+	last := uint64(addr+addrspace.Addr(size)-1) >> st.shift
+	for blk := uint64(addr) >> st.shift; blk <= last; blk++ {
+		// A way holds at least 16 bytes (cache.Validate): tag+1 cannot wrap.
+		line, tag := &st.tags[blk&st.mask], blk>>st.tagShift+1
+		if *line != tag {
+			*line = tag
+			st.buf = append(st.buf, cache.BlockRef{Blk: blk, Obj: obj, Cat: cat})
+		}
+	}
+}
+
+// splitMembers gives every line size with two or more plain members a
+// stripe; the other single-level members are stepped per reference.
+func (g *Group) splitMembers() {
+	g.split = true
+	byLine := map[int64]*stripe{}
+	for _, cs := range g.Sims {
+		if cfg := cs.Config(); cs.Plain() {
+			st := byLine[cfg.BlockSize]
+			if st == nil {
+				st = &stripe{shift: uint(bits.TrailingZeros64(uint64(cfg.BlockSize))), mask: ^uint64(0)}
+				byLine[cfg.BlockSize] = st
+			}
+			st.mask = min(st.mask, uint64(cfg.Sets()-1))
+			st.sims = append(st.sims, cs)
+		}
+	}
+	for _, cs := range g.Sims {
+		switch st := byLine[cs.Config().BlockSize]; {
+		case !cs.Plain() || len(st.sims) < 2:
+			g.steps = append(g.steps, cs)
+		case st.tags == nil:
+			st.tagShift = uint(bits.OnesCount64(st.mask))
+			st.tags = make([]uint64, st.mask+1)
+			g.stripes = append(g.stripes, st)
+		}
+	}
 }
 
 // SetLayout resolves every static object of table under lay once and
@@ -50,6 +118,10 @@ func (g *Group) SetLayout(table *object.Table, lay *layout.Layout, alloc heapsim
 		}
 	})
 }
+
+// SameStatics reports whether g and o resolve every static object to the
+// same address.
+func (g *Group) SameStatics(o *Group) bool { return slices.Equal(g.staticAddr, o.staticAddr) }
 
 // AddSim attaches a single-level member for opts.Cache, with
 // classification and attribution as opts asks, its per-object counters
@@ -86,6 +158,9 @@ func (g *Group) Size() int { return len(g.Sims) + len(g.Hiers) }
 
 // HandleRecs implements trace.RecHandler.
 func (g *Group) HandleRecs(recs []trace.Rec) {
+	if !g.split {
+		g.splitMembers()
+	}
 	for i := range recs {
 		r := &recs[i]
 		switch r.Kind {
@@ -99,8 +174,11 @@ func (g *Group) HandleRecs(recs []trace.Rec) {
 			}
 			addr := base + addrspace.Addr(r.Off)
 			write := r.Kind == trace.Store
-			for _, cs := range g.Sims {
+			for _, cs := range g.steps {
 				cs.Step(addr, r.Size, r.Cat, r.Obj, write)
+			}
+			for _, st := range g.stripes {
+				st.touch(addr, r.Size, r.Cat, r.Obj)
 			}
 			for _, hs := range g.Hiers {
 				if write {
@@ -121,6 +199,12 @@ func (g *Group) HandleRecs(recs []trace.Rec) {
 		case trace.Free:
 			g.alloc.Free(g.heapAddr[r.Obj], r.Size, g.clock)
 		}
+	}
+	for _, st := range g.stripes {
+		for _, cs := range st.sims {
+			cs.StepBlocks(st.buf)
+		}
+		st.buf = st.buf[:0]
 	}
 }
 

@@ -26,6 +26,23 @@ func cellGroupWeights(p *Prep) []int {
 	return weights
 }
 
+// replayedGroupWeights is the assignGroups weight of each layout group
+// RunShared replays for p: the groups buildGroups returns once identical
+// CCDP layouts have merged.
+func replayedGroupWeights(tb testing.TB, p *Prep) []int {
+	tb.Helper()
+	src, err := p.open(p.req.Test, p.req.Options)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer src.Close()
+	groups, _, _, err := p.buildGroups(src.Objects(), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return groupWeights(groups)
+}
+
 // workerLoads sums each worker's planned weight.
 func workerLoads(weights []int, plan [][]int) []int {
 	loads := make([]int, len(plan))
@@ -129,10 +146,11 @@ func TestAssignGroups(t *testing.T) {
 
 // BenchmarkRunSharedReplay runs the shared engine over the repository
 // benchmark's sweep grid (gcc: sizes 8K,16K x associativity 1,2,4,8 x
-// lines 32,64 x natural,ccdp = 32 cells in 17 layout groups) at reduced
-// scale, on one and two workers. It reports the engine's time per
-// replayed event, net of prep, and the max-over-mean worker load
-// assignGroups plans for the groups.
+// lines 32,64 x natural,ccdp = 32 cells under 17 group keys, replayed as
+// 11 layout groups once identical CCDP layouts merge) at reduced scale,
+// on one and two workers. It reports the engine's time per replayed
+// event, net of prep, and the max-over-mean worker load assignGroups
+// plans for the replayed groups.
 func BenchmarkRunSharedReplay(b *testing.B) {
 	g := Grid{
 		Sizes:   []int64{8192, 16384},
@@ -141,7 +159,7 @@ func BenchmarkRunSharedReplay(b *testing.B) {
 		Layouts: []string{"natural", "ccdp"},
 	}
 	p := mustPrep(b, smallRequest(b, "gcc", 0.05, g))
-	weights := cellGroupWeights(p)
+	weights := replayedGroupWeights(b, p)
 	total := 0
 	for _, w := range weights {
 		total += w

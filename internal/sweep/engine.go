@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,8 +76,9 @@ type Progress struct {
 	// Phase is "prep" while profiles/placements/layouts are built and
 	// "replay" once events stream through the simulators.
 	Phase string
-	// GroupsDone counts layout groups whose layout has been carved;
-	// Groups is the total (the shared engine's fan-out width).
+	// GroupsDone counts layouts carved; Groups is the number to carve,
+	// one per group key. Identical carved layouts merge, so Result.Groups
+	// (the groups replayed) can be smaller.
 	GroupsDone int
 	Groups     int
 	// CellsDone counts grid cells with results collected out of
@@ -199,9 +201,9 @@ type Result struct {
 	// distinct configs).
 	ProfilesBroadcast int
 	ProfilesDeduped   int
-	// Groups is the number of layout groups the cells resolved into:
-	// each group resolves every address once and fans it to its member
-	// simulators.
+	// Groups is the number of layout groups replayed: one per group key,
+	// less carved CCDP layouts merged into an identical group. Each group
+	// resolves every address once and fans it to its member simulators.
 	Groups int
 }
 
@@ -615,6 +617,27 @@ type layoutGroup struct {
 	profKey  string
 	placeKey string
 	opts     sim.Options
+	// heap is what the carved CCDP layout's allocator depends on; into
+	// is the identical carved group this one's members moved to.
+	heap heapID
+	into *layoutGroup
+}
+
+// heapID is all a CCDP group's heap allocator depends on: the base fit,
+// or the custom allocator's placement period, bin count and heap plans.
+type heapID struct {
+	fit    string
+	period int64
+	bins   int
+	plans  map[uint64]placement.HeapPlan
+}
+
+// sameLayout reports whether two carved CCDP groups resolve every event
+// to the same address. Placements for geometries of equal sets × line
+// size often coincide, since the placer packs one way's period.
+func sameLayout(a, b *layoutGroup) bool {
+	return a.heap.fit == b.heap.fit && a.heap.period == b.heap.period && a.heap.bins == b.heap.bins &&
+		maps.Equal(a.heap.plans, b.heap.plans) && a.SameStatics(&b.Group)
 }
 
 // fitName normalizes the heap-fit axis value for group keying.
@@ -672,7 +695,8 @@ func (a *prepStats) release(n int64) { a.cur -= n }
 // dependent group's layout is carved, and non-retained placements are
 // released behind their groups (CCDP-with-heap-placement groups keep the
 // placement map alive inside the custom allocator). Peak resident prep
-// bytes are the high-water mark of that schedule.
+// bytes are the high-water mark of that schedule. A carved CCDP layout
+// identical to an earlier one (sameLayout) joins that one's group.
 func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, []*memberSim, *prepStats, error) {
 	mc := p.req.Options.Metrics
 	acct := &prepStats{}
@@ -747,6 +771,7 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 		}
 		profGroups[g.profKey] = append(profGroups[g.profKey], g)
 	}
+	var distinct []*layoutGroup // carved CCDP groups not merged away
 	acct.broadcast = len(profKeys)
 	acct.deduped = demand - len(profKeys)
 
@@ -798,6 +823,21 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 					return nil, nil, nil, fmt.Errorf("sweep: layout %s: %w", k, err)
 				}
 				g.SetLayout(table, lay, alloc)
+				g.heap = heapID{fit: fitName(g.opts.HeapFit)}
+				if p.heapPlace {
+					g.heap = heapID{fit: "custom", period: pm.Period(), bins: pm.NumBins, plans: pm.HeapPlans}
+				}
+				for _, d := range distinct {
+					if sameLayout(d, g) {
+						d.Sims = append(d.Sims, g.Sims...)
+						d.Hiers = append(d.Hiers, g.Hiers...)
+						g.into = d
+						break
+					}
+				}
+				if g.into == nil {
+					distinct = append(distinct, g)
+				}
 				p.progress(func(pr *Progress) { pr.GroupsDone++ })
 			}
 			if !p.heapPlace {
@@ -809,7 +849,18 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 		// Every dependent layout is carved: the profile retires.
 		acct.release(profSize[pk])
 	}
-	return groups, memberOf, acct, nil
+	for _, m := range memberOf {
+		if m.g.into != nil {
+			m.g = m.g.into
+		}
+	}
+	replayed := groups[:0]
+	for _, g := range groups {
+		if g.into == nil {
+			replayed = append(replayed, g)
+		}
+	}
+	return replayed, memberOf, acct, nil
 }
 
 // assignGroups splits group indices across workers by longest processing
@@ -840,6 +891,16 @@ func assignGroups(weights []int, workers int) [][]int {
 		sort.Ints(p)
 	}
 	return plan
+}
+
+// groupWeights is each group's replay cost for assignGroups: one address
+// resolution per record plus one simulator step per member.
+func groupWeights(groups []*layoutGroup) []int {
+	weights := make([]int, len(groups))
+	for i, g := range groups {
+		weights[i] = 1 + g.Size()
+	}
+	return weights
 }
 
 // RunShared executes the sweep on the decode-once/eval-many engine: prep
@@ -882,13 +943,7 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 	if workers > len(groups) {
 		workers = len(groups)
 	}
-	// A group's replay cost: one address resolution per record plus one
-	// simulator step per member.
-	weights := make([]int, len(groups))
-	for i, g := range groups {
-		weights[i] = 1 + g.Size()
-	}
-	plan := assignGroups(weights, workers)
+	plan := assignGroups(groupWeights(groups), workers)
 
 	// The enricher's tally starts at the size buildGroups pre-sized every
 	// member to: no event has reached the table since.

@@ -70,7 +70,14 @@ func TestSharedMatchesIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := len(cellGroupWeights(p))
+	// 19 group keys: natural and random per heap fit (3 groups), and 16
+	// CCDP keys (2 sizes x 2 chunks x 2 cutoffs x 2 heap fits). At 4K
+	// under cutoff 0.001 the chunk 256 and 512 placements coincide, for
+	// each heap fit, so those two pairs merge: 17 groups are replayed.
+	if keys := len(cellGroupWeights(p)); keys != 19 {
+		t.Fatalf("%d group keys, want 19", keys)
+	}
+	const groups = 17
 	for _, par := range []int{1, 2, 3, 4, groups + 1} {
 		shared, err := p.RunShared(par)
 		if err != nil {

@@ -87,12 +87,15 @@ echo "==> sweep smoke (shared store, decode-once engine)"
 # and -sweep-compare (on by default) holds every cell byte-identical to
 # an independent per-cell replay — across the chunk/queue, popularity-
 # cutoff, and heap-fit axes, so the multi-profile broadcast and layout
-# grouping are exercised end to end. -sweep-min-speedup holds the
-# grouped engine to beating the ungrouped per-cell baseline (skipped
-# with a notice under 4 CPUs). The ledger re-render proves the sweep
-# event alone reproduces the matrix offline.
+# grouping are exercised end to end. Two line sizes give layout groups
+# a trace-stripping filter per line size, and identical CCDP layouts
+# (4K/dm and 8K/2w share a period) merge, 130 carved layouts into 74
+# replayed groups: both held byte-identical to the per-cell replays.
+# -sweep-min-speedup holds the grouped engine to beating the ungrouped
+# per-cell baseline (skipped with a notice under 4 CPUs). The ledger
+# re-render proves the sweep event alone reproduces the matrix offline.
 go run ./cmd/ccdpbench -sweep -sweep-workload compress \
-    -sweep-sizes 4096,8192 -sweep-assocs 1,2 -parallel 4 \
+    -sweep-sizes 4096,8192 -sweep-assocs 1,2 -sweep-blocks 32,64 -parallel 4 \
     -sweep-chunks 256,512 -sweep-queues 8192,16384 \
     -sweep-cutoffs 0,0.001 -sweep-heaps first,temporal \
     -sweep-min-speedup 1.1 \
