@@ -130,7 +130,6 @@ type Custom struct {
 	cacheBytes int64
 	def        *arena
 	bins       []*arena
-	owner      map[addrspace.Addr]*arena
 	st         Stats
 }
 
@@ -140,7 +139,6 @@ func NewCustom(m *placement.Map) *Custom {
 		plans:      m.HeapPlans,
 		cacheBytes: m.Period(),
 		def:        newArena(addrspace.HeapBase, addrspace.HeapBase+binStride),
-		owner:      make(map[addrspace.Addr]*arena),
 	}
 	c.bins = make([]*arena, m.NumBins)
 	for i := range c.bins {
@@ -179,18 +177,17 @@ func (c *Custom) Alloc(size int64, xor uint64, now uint64) addrspace.Addr {
 	} else {
 		at = ar.allocTemporalFit(size, now, &c.st)
 	}
-	c.owner[at] = ar
 	return at
 }
 
-// Free implements Allocator, returning the block to the arena it came from.
+// Free implements Allocator, returning the block to the arena it came
+// from: arena i owns [HeapBase + i·binStride, HeapBase + (i+1)·binStride)
+// (the default arena is 0), and extend never grows one past its limit.
 func (c *Custom) Free(addr addrspace.Addr, size int64, now uint64) {
 	c.st.Frees++
-	ar := c.owner[addr]
-	if ar == nil {
-		ar = c.def
-	} else {
-		delete(c.owner, addr)
+	ar := c.def
+	if i := int((addr - addrspace.HeapBase) / binStride); i > 0 {
+		ar = c.bins[i-1]
 	}
 	ar.insertFree(addr, roundSize(size), now)
 }

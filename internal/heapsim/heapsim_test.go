@@ -1,6 +1,7 @@
 package heapsim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -185,6 +186,61 @@ func TestCustomFreeReturnsToOwningArena(t *testing.T) {
 	b := c.Alloc(64, 0xA, 3)
 	if a != b {
 		t.Fatalf("bin-arena free block not reused: %x then %x", a, b)
+	}
+}
+
+// TestCustomFreeMatchesOwnerMap drives a seeded alloc/free mix across
+// the default arena and three bins, with and without preferred offsets,
+// through Custom and through a reference whose Free finds each block's
+// arena in a map filled at Alloc time. Every address and the final
+// Stats must agree: Free's arena-from-address rule loses nothing.
+func TestCustomFreeMatchesOwnerMap(t *testing.T) {
+	m := &placement.Map{
+		Cache: cache.DefaultConfig,
+		HeapPlans: map[uint64]placement.HeapPlan{
+			1: {Bin: 0, PrefOffset: placement.NoPreference},
+			2: {Bin: 1, PrefOffset: 1024},
+			3: {Bin: 2, PrefOffset: placement.NoPreference},
+			4: {Bin: 2, PrefOffset: 4096},
+			5: {Bin: -1, PrefOffset: 2048},
+		},
+		NumBins: 3,
+	}
+	got, ref := NewCustom(m), NewCustom(m)
+	owner := map[addrspace.Addr]*arena{}
+	type block struct {
+		at   addrspace.Addr
+		size int64
+	}
+	var live []block
+	r := rand.New(rand.NewSource(1))
+	for now := uint64(0); now < 4000; now++ {
+		if len(live) > 0 && r.Intn(5) < 2 {
+			i := r.Intn(len(live))
+			b := live[i]
+			live = append(live[:i], live[i+1:]...)
+			got.Free(b.at, b.size, now)
+			ref.st.Frees++
+			owner[b.at].insertFree(b.at, roundSize(b.size), now)
+			delete(owner, b.at)
+			continue
+		}
+		size, xor := int64(8+r.Intn(600)), uint64(r.Intn(7)) // 0 and 6 have no plan
+		at := got.Alloc(size, xor, now)
+		if want := ref.Alloc(size, xor, now); at != want {
+			t.Fatalf("op %d: alloc(%d, %d) at %#x, reference %#x", now, size, xor, uint64(at), uint64(want))
+		}
+		owner[at] = ref.def
+		if plan, ok := m.HeapPlans[xor]; ok && plan.Bin >= 0 {
+			owner[at] = ref.bins[plan.Bin]
+		}
+		live = append(live, block{at, size})
+	}
+	if got.Stats() != ref.Stats() {
+		t.Fatalf("stats %+v, reference %+v", got.Stats(), ref.Stats())
+	}
+	if st := got.Stats(); st.BinAllocs == 0 || st.PrefPlaced == 0 || st.Frees == 0 {
+		t.Fatalf("mix left a path unexercised: %+v", st)
 	}
 }
 

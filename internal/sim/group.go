@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -24,10 +25,10 @@ import (
 // enricher, and the sweep engine shares one group among all cells with
 // the same effective layout.
 //
-// Single-level members run only the cache's geometry step
-// (cache.Sim.Step): the stream's reference tally is the Enricher's, and
-// Result stamps it onto them; plain members that share a line size are
-// trace-stripped (see stripe). Hierarchy members run the full
+// Single-level members run only the cache's geometry step: the stream's
+// reference tally is the Enricher's, and Result stamps it onto them.
+// Plain members are trace-stripped (see level); members with a policy on
+// run cache.Sim.Step per reference. Hierarchy members run the full
 // Access/Write, since their L2 sees the L1 miss stream, not the trace.
 // Members must be attached before the first record.
 type Group struct {
@@ -36,72 +37,84 @@ type Group struct {
 	// Pages, when non-nil, sees every resolved reference (Table 5's
 	// page and working-set accounting).
 	Pages *vmpage.Tracker
+	// BlockSteps counts the block touches the stripped members stepped,
+	// summed per batch.
+	BlockSteps uint64
 
-	alloc      heapsim.Allocator
-	staticAddr []addrspace.Addr
-	heapAddr   []addrspace.Addr
-	clock      uint64
+	alloc heapsim.Allocator
+	addr  []addrspace.Addr // per object ID: static or live heap base
+	clock uint64
 
-	// split is set once Sims are divided into stripes and steps.
-	split   bool
-	stripes []*stripe
-	steps   []*cache.Sim
+	// split is set once Sims are divided into levels and steps.
+	split  bool
+	levels []*level // ascending (line size, set count)
+	heads  []*level // each line size's first level
+	steps  []*cache.Sim
 }
 
-// stripe is Puzak's trace stripping for the plain members of one line
-// size: a direct-mapped filter with their smallest set count passes on
-// only the block touches it misses. Set counts are powers of two, so the
-// blocks mapping to a member's set all map to the filter line: a filter
-// hit finds the block already MRU in its set in every member, a touch
-// that changes no LRU state and cannot miss.
-type stripe struct {
-	shift, tagShift uint
-	mask            uint64
-	tags            []uint64 // per filter line: its block's tag + 1, 0 empty
-	sims            []*cache.Sim
-	buf             []cache.BlockRef // this batch's filter misses
+// level is one stage of the trace-stripping cascade (Puzak 1985): a
+// direct-mapped filter with the line size and set count of its plain
+// members, which step only its misses. A line size's first level is fed
+// each reference's block touches, each later level the misses of the one
+// before, in ascending set order. Set counts are powers of two, so the
+// blocks on a filter line of S sets all lie on one line of a coarser
+// filter: a hit there was the last block touched on that line, so on
+// every finer line too, and skipping it leaves the finer filters exact.
+// A hit at a member's own set count finds the block MRU in its set, a
+// touch that changes no LRU state and cannot miss.
+type level struct {
+	shift uint
+	mask  uint64
+	tags  []uint64 // per filter line: its block + 1, 0 empty
+	sims  []*cache.Sim
+	buf   []cache.BlockRef // this batch's filter misses
 }
 
-// touch passes a reference's blocks through the filter, buffering misses.
-func (st *stripe) touch(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) {
+// pass filters one block touch, buffering it on a miss. Simulated
+// addresses lie far below 2^64, so block + 1 cannot wrap.
+func (lv *level) pass(br cache.BlockRef) {
+	if line := &lv.tags[br.Blk&lv.mask]; *line != br.Blk+1 {
+		*line = br.Blk + 1
+		lv.buf = append(lv.buf, br)
+	}
+}
+
+// touch passes a reference's blocks through the filter.
+func (lv *level) touch(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) {
 	if size <= 0 {
 		size = 1
 	}
-	last := uint64(addr+addrspace.Addr(size)-1) >> st.shift
-	for blk := uint64(addr) >> st.shift; blk <= last; blk++ {
-		// A way holds at least 16 bytes (cache.Validate): tag+1 cannot wrap.
-		line, tag := &st.tags[blk&st.mask], blk>>st.tagShift+1
-		if *line != tag {
-			*line = tag
-			st.buf = append(st.buf, cache.BlockRef{Blk: blk, Obj: obj, Cat: cat})
-		}
+	last := uint64(addr+addrspace.Addr(size)-1) >> lv.shift
+	for blk := uint64(addr) >> lv.shift; blk <= last; blk++ {
+		lv.pass(cache.BlockRef{Blk: blk, Obj: obj, Cat: cat})
 	}
 }
 
-// splitMembers gives every line size with two or more plain members a
-// stripe; the other single-level members are stepped per reference.
+// splitMembers gives each distinct (line size, set count) of the plain
+// members a level; the other single-level members are stepped per
+// reference.
 func (g *Group) splitMembers() {
 	g.split = true
-	byLine := map[int64]*stripe{}
 	for _, cs := range g.Sims {
-		if cfg := cs.Config(); cs.Plain() {
-			st := byLine[cfg.BlockSize]
-			if st == nil {
-				st = &stripe{shift: uint(bits.TrailingZeros64(uint64(cfg.BlockSize))), mask: ^uint64(0)}
-				byLine[cfg.BlockSize] = st
-			}
-			st.mask = min(st.mask, uint64(cfg.Sets()-1))
-			st.sims = append(st.sims, cs)
-		}
-	}
-	for _, cs := range g.Sims {
-		switch st := byLine[cs.Config().BlockSize]; {
-		case !cs.Plain() || len(st.sims) < 2:
+		if !cs.Plain() {
 			g.steps = append(g.steps, cs)
-		case st.tags == nil:
-			st.tagShift = uint(bits.OnesCount64(st.mask))
-			st.tags = make([]uint64, st.mask+1)
-			g.stripes = append(g.stripes, st)
+			continue
+		}
+		cfg := cs.Config()
+		shift, mask := uint(bits.TrailingZeros64(uint64(cfg.BlockSize))), uint64(cfg.Sets()-1)
+		i := slices.IndexFunc(g.levels, func(lv *level) bool { return lv.shift == shift && lv.mask == mask })
+		if i < 0 {
+			i = len(g.levels)
+			g.levels = append(g.levels, &level{shift: shift, mask: mask, tags: make([]uint64, mask+1)})
+		}
+		g.levels[i].sims = append(g.levels[i].sims, cs)
+	}
+	slices.SortFunc(g.levels, func(a, b *level) int {
+		return cmp.Or(cmp.Compare(a.shift, b.shift), cmp.Compare(a.mask, b.mask))
+	})
+	for i, lv := range g.levels {
+		if i == 0 || g.levels[i-1].shift != lv.shift {
+			g.heads = append(g.heads, lv)
 		}
 	}
 }
@@ -111,17 +124,18 @@ func (g *Group) splitMembers() {
 // first record; table must already hold every static object.
 func (g *Group) SetLayout(table *object.Table, lay *layout.Layout, alloc heapsim.Allocator) {
 	g.alloc = alloc
-	g.staticAddr = make([]addrspace.Addr, table.Len())
+	g.addr = make([]addrspace.Addr, table.Len())
 	table.ForEach(func(in *object.Info) {
 		if in.Category != object.Heap {
-			g.staticAddr[in.ID] = lay.Addr(in)
+			g.addr[in.ID] = lay.Addr(in)
 		}
 	})
 }
 
 // SameStatics reports whether g and o resolve every static object to the
-// same address.
-func (g *Group) SameStatics(o *Group) bool { return slices.Equal(g.staticAddr, o.staticAddr) }
+// same address. Before the first record the address table holds only
+// statics.
+func (g *Group) SameStatics(o *Group) bool { return slices.Equal(g.addr, o.addr) }
 
 // AddSim attaches a single-level member for opts.Cache, with
 // classification and attribution as opts asks, its per-object counters
@@ -166,19 +180,13 @@ func (g *Group) HandleRecs(recs []trace.Rec) {
 		switch r.Kind {
 		case trace.Load, trace.Store:
 			g.clock++
-			var base addrspace.Addr
-			if r.Cat == object.Heap {
-				base = g.heapAddr[r.Obj]
-			} else {
-				base = g.staticAddr[r.Obj]
-			}
-			addr := base + addrspace.Addr(r.Off)
+			addr := g.addr[r.Obj] + addrspace.Addr(r.Off)
 			write := r.Kind == trace.Store
 			for _, cs := range g.steps {
 				cs.Step(addr, r.Size, r.Cat, r.Obj, write)
 			}
-			for _, st := range g.stripes {
-				st.touch(addr, r.Size, r.Cat, r.Obj)
+			for _, lv := range g.heads {
+				lv.touch(addr, r.Size, r.Cat, r.Obj)
 			}
 			for _, hs := range g.Hiers {
 				if write {
@@ -192,19 +200,27 @@ func (g *Group) HandleRecs(recs []trace.Rec) {
 			}
 		case trace.Alloc:
 			addr := g.alloc.Alloc(r.Size, r.Info.XORName, g.clock)
-			for int(r.Obj) >= len(g.heapAddr) {
-				g.heapAddr = append(g.heapAddr, 0)
+			for int(r.Obj) >= len(g.addr) {
+				g.addr = append(g.addr, 0)
 			}
-			g.heapAddr[r.Obj] = addr
+			g.addr[r.Obj] = addr
 		case trace.Free:
-			g.alloc.Free(g.heapAddr[r.Obj], r.Size, g.clock)
+			g.alloc.Free(g.addr[r.Obj], r.Size, g.clock)
 		}
 	}
-	for _, st := range g.stripes {
-		for _, cs := range st.sims {
-			cs.StepBlocks(st.buf)
+	for i, lv := range g.levels {
+		if i > 0 && g.levels[i-1].shift == lv.shift {
+			for _, br := range g.levels[i-1].buf {
+				lv.pass(br)
+			}
 		}
-		st.buf = st.buf[:0]
+		for _, cs := range lv.sims {
+			cs.StepBlocks(lv.buf)
+		}
+		g.BlockSteps += uint64(len(lv.buf) * len(lv.sims))
+	}
+	for _, lv := range g.levels {
+		lv.buf = lv.buf[:0]
 	}
 }
 

@@ -89,12 +89,13 @@ func stripeStream(seed int64) (*object.Table, int, []trace.Rec) {
 
 // TestStrippedGroupMatchesAccessReplay holds a group whose plain members
 // are trace-stripped to independent cache.Sim Access/Write replays of the
-// same addresses: three line sizes with several plain members each (so
-// each gets a filter sized by its smallest set count, from 1 to 32 sets),
-// a lone plain member at a fourth line size, members with each optional
-// policy on, and a hierarchy member, fed in batches of 1, 61 and 4096
-// records. Every member's Stats and per-object counters, and the
-// attributing member's attribution, must equal its replay's.
+// same addresses: plain members at four line sizes and set counts from 1
+// to 32 (so a line size's cascade chains up to three levels, and the lone
+// member at the fourth line size takes a level of its own), members with
+// each optional policy on, and a hierarchy member, fed in batches of 1,
+// 61 and 4096 records. The cascade's levels are pinned as (line size,
+// set count, members). Every member's Stats and per-object counters, and
+// the attributing member's attribution, must equal its replay's.
 func TestStrippedGroupMatchesAccessReplay(t *testing.T) {
 	c := func(size, block int64, assoc int) cache.Config {
 		return cache.Config{Size: size, BlockSize: block, Assoc: assoc}
@@ -180,12 +181,13 @@ func TestStrippedGroupMatchesAccessReplay(t *testing.T) {
 			for lo := 0; lo < len(recs); lo += batch {
 				g.HandleRecs(recs[lo:min(lo+batch, len(recs))])
 			}
-			var striped []int
-			for _, st := range g.stripes {
-				striped = append(striped, len(st.sims))
+			var levels [][3]int
+			for _, lv := range g.levels {
+				levels = append(levels, [3]int{1 << lv.shift, int(lv.mask + 1), len(lv.sims)})
 			}
-			if !reflect.DeepEqual(striped, []int{5, 5, 4}) {
-				t.Errorf("stripes hold %v plain members, want [5 5 4]", striped)
+			wantLevels := [][3]int{{16, 4, 1}, {16, 16, 1}, {16, 32, 3}, {32, 1, 1}, {32, 32, 4}, {64, 8, 3}, {64, 32, 1}, {128, 8, 1}}
+			if !reflect.DeepEqual(levels, wantLevels) {
+				t.Errorf("levels (line, sets, members) = %v, want %v", levels, wantLevels)
 			}
 
 			for i, cs := range got {
@@ -207,6 +209,88 @@ func TestStrippedGroupMatchesAccessReplay(t *testing.T) {
 			}
 			if gs, ws := gotHier.Stats(), wantHier.Stats(); gs != ws {
 				t.Errorf("seed %d batch %d: hierarchy stats\n got %+v\nwant %+v", seed, batch, gs, ws)
+			}
+		}
+	}
+}
+
+// TestStrippedStepsMatchFilterMisses holds the cascade to exact work: on
+// the stripping oracle's streams, the block touches a group's plain
+// members step (Group.BlockSteps) must sum, over those members, the
+// misses of a standalone direct-mapped cache.Sim with the member's line
+// size and set count, driven by Access/Write over the same addresses.
+// A member fed more than its own filter's misses — a level left
+// unfiltered, or fed the full stream — still simulates exactly, only
+// slower, which the stats oracle cannot see. Members with a policy on
+// step per reference and are not counted.
+func TestStrippedStepsMatchFilterMisses(t *testing.T) {
+	c := func(size, block int64, assoc int) cache.Config {
+		return cache.Config{Size: size, BlockSize: block, Assoc: assoc}
+	}
+	cfgs := []cache.Config{
+		c(512, 16, 1), c(1024, 16, 2), c(1536, 16, 3), c(256, 16, 4), c(2048, 16, 8),
+		c(1024, 32, 1), c(2048, 32, 2), c(3072, 32, 3), c(256, 32, 8), c(4096, 32, 4),
+		c(2048, 64, 1), c(1024, 64, 2), c(4096, 64, 8), c(512, 64, 1),
+		c(1024, 128, 1),
+		{Size: 1024, BlockSize: 32, Assoc: 1, Prefetch: true},
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		table, n, recs := stripeStream(seed)
+		lay := layout.Natural(table)
+
+		// The oracle: one direct-mapped filter per plain member.
+		var filters []*cache.Sim
+		for _, cfg := range cfgs[:len(cfgs)-1] {
+			dm, err := cache.New(c(int64(cfg.Sets())*cfg.BlockSize, cfg.BlockSize, 1), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			filters = append(filters, dm)
+		}
+		alloc, heap, clock := heapsim.NewFirstFit(), map[object.ID]addrspace.Addr{}, uint64(0)
+		for i := range recs {
+			r := &recs[i]
+			switch r.Kind {
+			case trace.Alloc:
+				heap[r.Obj] = alloc.Alloc(r.Size, r.Info.XORName, clock)
+			case trace.Free:
+				alloc.Free(heap[r.Obj], r.Size, clock)
+			default:
+				clock++
+				addr := heap[r.Obj] + addrspace.Addr(r.Off)
+				if r.Cat != object.Heap {
+					addr = lay.Addr(table.Get(r.Obj)) + addrspace.Addr(r.Off)
+				}
+				for _, dm := range filters {
+					if r.Kind == trace.Store {
+						dm.Write(addr, r.Size, r.Cat, r.Obj)
+					} else {
+						dm.Access(addr, r.Size, r.Cat, r.Obj)
+					}
+				}
+			}
+		}
+		var want uint64
+		for _, dm := range filters {
+			want += dm.Stats().Misses
+		}
+
+		for _, batch := range []int{1, 61, 4096} {
+			var g Group
+			g.SetLayout(table, lay, heapsim.NewFirstFit())
+			for _, cfg := range cfgs {
+				opts := DefaultOptions()
+				opts.Cache = cfg
+				if _, err := g.AddSim(opts, n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for lo := 0; lo < len(recs); lo += batch {
+				g.HandleRecs(recs[lo:min(lo+batch, len(recs))])
+			}
+			if g.BlockSteps != want {
+				t.Errorf("seed %d batch %d: plain members stepped %d blocks, want their filters' %d misses",
+					seed, batch, g.BlockSteps, want)
 			}
 		}
 	}

@@ -62,16 +62,19 @@ type Request struct {
 	// OnProgress, when non-nil, observes sweep execution at its natural
 	// boundaries: layout groups as their layouts are carved during prep,
 	// broadcast batches as the shared replay streams, and cells as their
-	// results land. Calls are serialized and each snapshot's counters are
-	// >= the previous one's, so a consumer can fan the stream out without
-	// reordering. The callback runs on engine goroutines and must not
-	// block; it never observes or influences simulation state, so results
-	// are byte-identical with or without it.
+	// results land. Calls are serialized and, within one run (a RunShared
+	// or RunIndependent call), each snapshot's counters are >= the
+	// previous one's, so a consumer can fan the stream out without
+	// reordering; a later run on the same Prep starts them from zero. The
+	// callback runs on engine goroutines and must not block; it never
+	// observes or influences simulation state, so results are
+	// byte-identical with or without it.
 	OnProgress func(Progress)
 }
 
-// Progress is one point-in-time snapshot of a sweep's execution, emitted
-// through Request.OnProgress.
+// Progress is one point-in-time snapshot of a sweep run's execution,
+// emitted through Request.OnProgress. Its counters are per run: each run
+// on a Prep resets them in its first snapshot.
 type Progress struct {
 	// Phase is "prep" while profiles/placements/layouts are built and
 	// "replay" once events stream through the simulators.
@@ -205,6 +208,9 @@ type Result struct {
 	// less carved CCDP layouts merged into an identical group. Each group
 	// resolves every address once and fans it to its member simulators.
 	Groups int
+	// BlockSteps sums the groups' sim.Group.BlockSteps: the block
+	// touches their trace-stripped members stepped (shared path only).
+	BlockSteps uint64
 }
 
 // ConfigsPerSec is the sweep's throughput in grid cells per second.
@@ -749,9 +755,7 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 		}
 	}
 	p.progress(func(pr *Progress) {
-		pr.Phase = "prep"
-		pr.Groups = len(groups)
-		pr.GroupsDone = carved
+		*pr = Progress{Phase: "prep", Groups: len(groups), GroupsDone: carved, CellsTotal: pr.CellsTotal}
 	})
 
 	// Streamed CCDP prep: profiles first (one decode, all configs), then
@@ -981,6 +985,9 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 		ProfilesDeduped:   acct.deduped,
 		Groups:            len(groups),
 	}
+	for _, g := range groups {
+		res.BlockSteps += g.BlockSteps
+	}
 	for i, cell := range p.cells {
 		m := memberOf[i]
 		cr := CellResult{Cell: cell}
@@ -1014,7 +1021,7 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 func (p *Prep) RunIndependent(parallel int) (*Result, error) {
 	mc := p.req.Options.Metrics
 	start := time.Now()
-	p.progress(func(pr *Progress) { pr.Phase = "prep" })
+	p.progress(func(pr *Progress) { *pr = Progress{Phase: "prep", CellsTotal: pr.CellsTotal} })
 	if err := p.materialize(); err != nil {
 		return nil, err
 	}

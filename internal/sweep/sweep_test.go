@@ -713,3 +713,43 @@ func TestProgressMonotonicAndInert(t *testing.T) {
 	}
 	check(t, snaps, res)
 }
+
+// TestProgressPerRun runs both engines on one Prep, shared first, as
+// ccdpbench's -sweep-compare does: every snapshot must keep CellsDone
+// within CellsTotal, each run's snapshots must not regress, and each run
+// must end with every cell done.
+func TestProgressPerRun(t *testing.T) {
+	g := Grid{Sizes: []int64{4096, 8192}, Assocs: []int{1, 2}, Layouts: []string{"natural", "ccdp"}}
+	req := smallRequest(t, "compress", 0.05, g)
+	var mu sync.Mutex
+	var snaps []Progress
+	req.OnProgress = func(p Progress) {
+		mu.Lock()
+		snaps = append(snaps, p)
+		mu.Unlock()
+	}
+	p := mustPrep(t, req)
+	for _, run := range []struct {
+		name string
+		run  func(int) (*Result, error)
+	}{{"shared", p.RunShared}, {"independent", p.RunIndependent}} {
+		snaps = nil
+		res, err := run.run(2)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		var prev Progress
+		for i, s := range snaps {
+			if s.CellsTotal != len(res.Cells) || s.CellsDone > s.CellsTotal {
+				t.Fatalf("%s snapshot %d: cells %d/%d, %d in the grid", run.name, i, s.CellsDone, s.CellsTotal, len(res.Cells))
+			}
+			if s.CellsDone < prev.CellsDone || s.GroupsDone < prev.GroupsDone || s.Batches < prev.Batches || s.Events < prev.Events {
+				t.Fatalf("%s snapshot %d regressed: %+v after %+v", run.name, i, s, prev)
+			}
+			prev = s
+		}
+		if len(snaps) == 0 || prev.CellsDone != prev.CellsTotal {
+			t.Fatalf("%s: ended at %+v, want every cell done", run.name, prev)
+		}
+	}
+}
