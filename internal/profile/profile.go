@@ -276,8 +276,9 @@ func New(cfg Config, objs *object.Table) (*Profiler, error) {
 
 // HandleRecs consumes one batch of enriched records: loads and stores
 // count toward their node and feed the recency queue (subject to time
-// sampling), allocs update node metadata, frees are ignored — the heap
-// placement node survives for future allocations.
+// sampling), a folded run as many times as it has accesses, allocs
+// update node metadata, frees are ignored — the heap placement node
+// survives for future allocations.
 func (p *Profiler) HandleRecs(recs []trace.Rec) {
 	period, window := p.cfg.SamplePeriod, p.cfg.SampleWindow
 	refs := p.refs
@@ -285,15 +286,23 @@ func (p *Profiler) HandleRecs(recs []trace.Rec) {
 		r := &recs[i]
 		switch r.Kind {
 		case trace.Load, trace.Store:
-			refs++
+			n := uint64(r.More) + 1
 			nd := p.nodeForInfo(r.Obj, r.Info)
-			p.graph.Node(nd).Refs++
-			if period > 0 && refs%period >= window {
-				// Time sampling: outside the sampling window the TRG
-				// queue is left untouched (but metadata stays complete).
+			p.graph.Node(nd).Refs += n
+			if period == 0 {
+				// One touch of the run's span is exact: a chunk two
+				// accesses share is re-touched at the queue's head.
+				refs += n
+				p.touchRange(nd, r.Off, int64(n)*r.Size)
 				continue
 			}
-			p.touchRange(nd, r.Off, r.Size)
+			for off := r.Off; n > 0; n, off = n-1, off+r.Size {
+				// Time sampling: outside the sampling window the TRG
+				// queue is left untouched (but metadata stays complete).
+				if refs++; refs%period < window {
+					p.touchRange(nd, off, r.Size)
+				}
+			}
 		case trace.Alloc:
 			p.noteAllocInfo(r.Obj, r.Info, r.NonUnique)
 		}
@@ -308,7 +317,7 @@ func (p *Profiler) HandleRecs(recs []trace.Rec) {
 }
 
 // touchRange feeds every chunk covered by [off, off+size) through the
-// recency queue.
+// recency queue: one reference, or a run's whole span.
 func (p *Profiler) touchRange(nd trg.NodeID, off, size int64) {
 	if size <= 0 {
 		size = 1

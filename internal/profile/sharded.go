@@ -161,16 +161,19 @@ func (w *shardWorker) process(b *touchBatch) {
 
 // processInline is the warmup/sequential counterpart of process: the
 // delivery goroutine runs the batch through worker 0's queue, scanning
-// every hit regardless of shard ownership, and reports the hit count for
-// the adaptive decision.
-func (w *shardWorker) processInline(b *touchBatch) int {
+// every hit into the arena of the shard that owns the touched chunk (so
+// per-shard edge counts do not depend on the schedule), and reports the
+// hit count for the adaptive decision.
+func (s *Sharded) processInline(b *touchBatch) int {
+	w := s.workers[0]
 	hits := 0
 	for i := range b.touches {
 		t := &b.touches[i]
 		if e := w.q.get(t.key); e != nil {
 			hits++
+			g := s.workers[t.shard].graph
 			for x := w.q.head; x != nil && x != e; x = x.next {
-				w.graph.AddWeight(t.key, x.key, 1)
+				g.AddWeight(t.key, x.key, 1)
 			}
 			w.q.moveToFront(e)
 		} else {
@@ -182,8 +185,8 @@ func (w *shardWorker) processInline(b *touchBatch) int {
 }
 
 // catchUp replays a warmup batch into a non-zero worker's queue replica.
-// No scans: every warmup hit was already scanned inline by worker 0, so
-// only the queue state needs to advance.
+// No scans: every warmup hit was already scanned inline, so only the
+// queue state needs to advance.
 func (w *shardWorker) catchUp(b *touchBatch) {
 	for i := range b.touches {
 		t := &b.touches[i]
@@ -331,14 +334,14 @@ func (s *Sharded) dispatch(b *touchBatch) {
 		b.pending.Store(int32(s.shards))
 		s.stream.Send(b)
 	case modeWarmup:
-		s.warmHits += s.workers[0].processInline(b)
+		s.warmHits += s.processInline(b)
 		s.warmTouches += len(b.touches)
 		s.held = append(s.held, b)
 		if s.warmTouches >= s.warmLimit {
 			s.decide()
 		}
 	default: // modeSequential
-		s.workers[0].processInline(b)
+		s.processInline(b)
 		b.release()
 	}
 }
@@ -374,9 +377,9 @@ func (s *Sharded) appendTouches(ts []touch, nd trg.NodeID, off, size int64) []to
 // schedule (including where the adaptive warmup decision lands), never
 // the output.
 func (s *Sharded) HandleRecs(recs []trace.Rec) {
-	// The touch buffer is taken at the first touch: a batch of one Alloc
-	// or Free record, as the emitter delivers them, never visits the
-	// buffer pool the workers also use.
+	// The touch buffer is taken at the first load or store: a batch of
+	// one Alloc or Free record, as the emitter delivers them, never
+	// visits the buffer pool the workers also use.
 	var b *touchBatch
 	var ts []touch
 	period, window := s.cfg.SamplePeriod, s.cfg.SampleWindow
@@ -385,17 +388,24 @@ func (s *Sharded) HandleRecs(recs []trace.Rec) {
 		r := &recs[i]
 		switch r.Kind {
 		case trace.Load, trace.Store:
-			refs++
+			n := uint64(r.More) + 1
 			nd := s.nodeForInfo(r.Obj, r.Info)
-			s.graph.Node(nd).Refs++
-			if period > 0 && refs%period >= window {
-				continue
-			}
+			s.graph.Node(nd).Refs += n
 			if b == nil {
 				b = s.grab()
 				ts = b.touches[:0]
 			}
-			ts = s.appendTouches(ts, nd, r.Off, r.Size)
+			if period == 0 {
+				// One span touch per run, as in Profiler.HandleRecs.
+				refs += n
+				ts = s.appendTouches(ts, nd, r.Off, int64(n)*r.Size)
+				continue
+			}
+			for off := r.Off; n > 0; n, off = n-1, off+r.Size {
+				if refs++; refs%period < window {
+					ts = s.appendTouches(ts, nd, off, r.Size)
+				}
+			}
 		case trace.Alloc:
 			s.noteAllocInfo(r.Obj, r.Info, r.NonUnique)
 		}

@@ -282,10 +282,8 @@ func TestShardedMetricsParity(t *testing.T) {
 
 	shCfg := cfg
 	shCfg.Metrics = metrics.New()
-	// Pin the pure-parallel schedule: under adaptive warmup an edge's
-	// weight can be split across worker 0's warmup arena and both owners'
-	// arenas, which would stretch the per-shard counter bound below to
-	// [merged, 3*merged]. Adaptive scheduling has its own tests.
+	// Pin the pure-parallel schedule; TestShardEdgeCountersIgnoreSchedule
+	// shows the per-shard counters read the same under adaptive warmup.
 	shCfg.AdaptiveWarmup = -1
 	sh := runSharded(t, shCfg, wl, 4, 8192)
 	requireEqualProfiles(t, seq, sh, "metrics-run")

@@ -27,9 +27,11 @@ import (
 //
 // Single-level members run only the cache's geometry step: the stream's
 // reference tally is the Enricher's, and Result stamps it onto them.
-// Plain members are trace-stripped (see level); members with a policy on
-// run cache.Sim.Step per reference. Hierarchy members run the full
-// Access/Write, since their L2 sees the L1 miss stream, not the trace.
+// Plain members are trace-stripped (see level), and the head levels touch
+// a folded run's whole span once; members with a policy on run
+// cache.Sim.Step per access of a run. Hierarchy members run the full
+// Access/Write per access, since their L2 sees the L1 miss stream, not
+// the trace.
 // Members must be attached before the first record.
 type Group struct {
 	Sims  []*cache.Sim
@@ -79,7 +81,8 @@ func (lv *level) pass(br cache.BlockRef) {
 	}
 }
 
-// touch passes a reference's blocks through the filter.
+// touch passes the blocks of a reference, or of a run's span, through
+// the filter.
 func (lv *level) touch(addr addrspace.Addr, size int64, cat object.Category, obj object.ID) {
 	if size <= 0 {
 		size = 1
@@ -175,28 +178,21 @@ func (g *Group) HandleRecs(recs []trace.Rec) {
 	if !g.split {
 		g.splitMembers()
 	}
+	// Read once: the loop's stores through the levels would otherwise
+	// reload them per record.
+	heads, perAccess := g.heads, len(g.steps)+len(g.Hiers) > 0 || g.Pages != nil
 	for i := range recs {
 		r := &recs[i]
 		switch r.Kind {
 		case trace.Load, trace.Store:
-			g.clock++
+			n := int64(r.More) + 1
+			g.clock += uint64(n)
 			addr := g.addr[r.Obj] + addrspace.Addr(r.Off)
-			write := r.Kind == trace.Store
-			for _, cs := range g.steps {
-				cs.Step(addr, r.Size, r.Cat, r.Obj, write)
+			for _, lv := range heads {
+				lv.touch(addr, n*r.Size, r.Cat, r.Obj)
 			}
-			for _, lv := range g.heads {
-				lv.touch(addr, r.Size, r.Cat, r.Obj)
-			}
-			for _, hs := range g.Hiers {
-				if write {
-					hs.Write(addr, r.Size, r.Cat, r.Obj)
-				} else {
-					hs.Access(addr, r.Size, r.Cat, r.Obj)
-				}
-			}
-			if g.Pages != nil {
-				g.Pages.Touch(addr, r.Size)
+			if perAccess {
+				g.stepRun(r, addr, n)
 			}
 		case trace.Alloc:
 			addr := g.alloc.Alloc(r.Size, r.Info.XORName, g.clock)
@@ -221,6 +217,28 @@ func (g *Group) HandleRecs(recs []trace.Rec) {
 	}
 	for _, lv := range g.levels {
 		lv.buf = lv.buf[:0]
+	}
+}
+
+// stepRun hands each access of a run to the members that step every
+// reference: those with a policy on, the hierarchies and the page tracker.
+func (g *Group) stepRun(r *trace.Rec, addr addrspace.Addr, n int64) {
+	write := r.Kind == trace.Store
+	for ; n > 0; n-- {
+		for _, cs := range g.steps {
+			cs.Step(addr, r.Size, r.Cat, r.Obj, write)
+		}
+		for _, hs := range g.Hiers {
+			if write {
+				hs.Write(addr, r.Size, r.Cat, r.Obj)
+			} else {
+				hs.Access(addr, r.Size, r.Cat, r.Obj)
+			}
+		}
+		if g.Pages != nil {
+			g.Pages.Touch(addr, r.Size)
+		}
+		addr += addrspace.Addr(r.Size)
 	}
 }
 

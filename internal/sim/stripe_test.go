@@ -25,8 +25,9 @@ type stripeMember struct {
 // stripeStream builds a seeded record stream over a small table: globals
 // and the stack at fixed addresses, heap objects born and freed along the
 // way, and loads and stores of 0 to 200 bytes (so references span several
-// blocks at every line size) with enough locality to hit. It also returns
-// the static object count, the table's size before the first record.
+// blocks at every line size), often in runs of adjacent accesses, with
+// enough locality to hit. It also returns the static object count, the
+// table's size before the first record.
 func stripeStream(seed int64) (*object.Table, int, []trace.Rec) {
 	r := rand.New(rand.NewSource(seed))
 	table := object.NewTable(2048)
@@ -61,9 +62,14 @@ func stripeStream(seed int64) (*object.Table, int, []trace.Rec) {
 			}
 			recs = append(recs, trace.Rec{Kind: trace.Free, Cat: object.Heap, Obj: id, Size: table.Get(id).Size})
 		case k < 60 && len(recs) > 0 && recs[len(recs)-1].Kind != trace.Alloc && recs[len(recs)-1].Kind != trace.Free:
-			// A short stride from the previous reference.
+			// The next access of a run, or a short stride from the
+			// previous reference.
 			prev := recs[len(recs)-1]
-			prev.Off = min(max(prev.Off+int64(r.Intn(24)-8), 0), table.Get(prev.Obj).Size-1)
+			if size := table.Get(prev.Obj).Size; k < 30 && prev.Off+2*prev.Size <= size {
+				prev.Off += prev.Size
+			} else {
+				prev.Off = min(max(prev.Off+int64(r.Intn(24)-8), 0), size-1)
+			}
 			recs = append(recs, prev)
 		default:
 			id := hot[r.Intn(len(hot))]
@@ -87,13 +93,45 @@ func stripeStream(seed int64) (*object.Table, int, []trace.Rec) {
 	return table, statics, recs
 }
 
+// stripeFeed is one way the stripping oracles hand a stream to a group:
+// its records, folded or not, in batches of a given size.
+type stripeFeed struct {
+	recs   []trace.Rec
+	folded bool
+	batch  int
+}
+
+// stripeFeeds is the stream in batches of 1, 61 and 4096 records, as
+// generated and with its runs of adjacent accesses folded by an enricher.
+func stripeFeeds(table *object.Table, recs []trace.Rec) []stripeFeed {
+	evs := make([]trace.Event, len(recs))
+	for i, r := range recs {
+		evs[i] = trace.Event{Kind: r.Kind, Obj: r.Obj, Off: r.Off, Size: r.Size}
+	}
+	folded := trace.NewEnricher(table, nil).Append(nil, evs...)
+	var feeds []stripeFeed
+	for _, batch := range []int{1, 61, 4096} {
+		feeds = append(feeds, stripeFeed{recs, false, batch}, stripeFeed{folded, true, batch})
+	}
+	return feeds
+}
+
+func (f stripeFeed) String() string { return fmt.Sprintf("batch %d folded=%v", f.batch, f.folded) }
+
+func (f stripeFeed) replay(g *Group) {
+	for lo := 0; lo < len(f.recs); lo += f.batch {
+		g.HandleRecs(f.recs[lo:min(lo+f.batch, len(f.recs))])
+	}
+}
+
 // TestStrippedGroupMatchesAccessReplay holds a group whose plain members
 // are trace-stripped to independent cache.Sim Access/Write replays of the
 // same addresses: plain members at four line sizes and set counts from 1
 // to 32 (so a line size's cascade chains up to three levels, and the lone
 // member at the fourth line size takes a level of its own), members with
-// each optional policy on, and a hierarchy member, fed in batches of 1,
-// 61 and 4096 records. The cascade's levels are pinned as (line size,
+// each optional policy on, and a hierarchy member, fed the stream and its
+// folded copy in batches of 1, 61 and 4096 records; the replays always
+// see one access at a time. The cascade's levels are pinned as (line size,
 // set count, members). Every member's Stats and per-object counters, and
 // the attributing member's attribution, must equal its replay's.
 func TestStrippedGroupMatchesAccessReplay(t *testing.T) {
@@ -163,7 +201,7 @@ func TestStrippedGroupMatchesAccessReplay(t *testing.T) {
 			}
 		}
 
-		for _, batch := range []int{1, 61, 4096} {
+		for _, f := range stripeFeeds(table, recs) {
 			var g Group
 			g.SetLayout(table, lay, heapsim.NewFirstFit())
 			got := make([]*cache.Sim, len(members))
@@ -178,9 +216,7 @@ func TestStrippedGroupMatchesAccessReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for lo := 0; lo < len(recs); lo += batch {
-				g.HandleRecs(recs[lo:min(lo+batch, len(recs))])
-			}
+			f.replay(&g)
 			var levels [][3]int
 			for _, lv := range g.levels {
 				levels = append(levels, [3]int{1 << lv.shift, int(lv.mask + 1), len(lv.sims)})
@@ -196,7 +232,7 @@ func TestStrippedGroupMatchesAccessReplay(t *testing.T) {
 				wrefs, wmisses := w.ObjectStats()
 				cs.SetTally(ws.Accesses, ws.CategoryAccesses, wrefs)
 				refs, misses := cs.ObjectStats()
-				where := fmt.Sprintf("seed %d batch %d member %s", seed, batch, members[i].cfg.Short())
+				where := fmt.Sprintf("seed %d %s member %s", seed, f, members[i].cfg.Short())
 				if gs := cs.Stats(); gs != ws {
 					t.Errorf("%s: stats\n got %+v\nwant %+v", where, gs, ws)
 				}
@@ -208,7 +244,7 @@ func TestStrippedGroupMatchesAccessReplay(t *testing.T) {
 				}
 			}
 			if gs, ws := gotHier.Stats(), wantHier.Stats(); gs != ws {
-				t.Errorf("seed %d batch %d: hierarchy stats\n got %+v\nwant %+v", seed, batch, gs, ws)
+				t.Errorf("seed %d %s: hierarchy stats\n got %+v\nwant %+v", seed, f, gs, ws)
 			}
 		}
 	}
@@ -221,8 +257,9 @@ func TestStrippedGroupMatchesAccessReplay(t *testing.T) {
 // size and set count, driven by Access/Write over the same addresses.
 // A member fed more than its own filter's misses — a level left
 // unfiltered, or fed the full stream — still simulates exactly, only
-// slower, which the stats oracle cannot see. Members with a policy on
-// step per reference and are not counted.
+// slower, which the stats oracle cannot see. The folded copy of a stream
+// must step exactly as many blocks. Members with a policy on step per
+// reference and are not counted.
 func TestStrippedStepsMatchFilterMisses(t *testing.T) {
 	c := func(size, block int64, assoc int) cache.Config {
 		return cache.Config{Size: size, BlockSize: block, Assoc: assoc}
@@ -275,7 +312,7 @@ func TestStrippedStepsMatchFilterMisses(t *testing.T) {
 			want += dm.Stats().Misses
 		}
 
-		for _, batch := range []int{1, 61, 4096} {
+		for _, f := range stripeFeeds(table, recs) {
 			var g Group
 			g.SetLayout(table, lay, heapsim.NewFirstFit())
 			for _, cfg := range cfgs {
@@ -285,12 +322,10 @@ func TestStrippedStepsMatchFilterMisses(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for lo := 0; lo < len(recs); lo += batch {
-				g.HandleRecs(recs[lo:min(lo+batch, len(recs))])
-			}
+			f.replay(&g)
 			if g.BlockSteps != want {
-				t.Errorf("seed %d batch %d: plain members stepped %d blocks, want their filters' %d misses",
-					seed, batch, g.BlockSteps, want)
+				t.Errorf("seed %d %s: plain members stepped %d blocks, want their filters' %d misses",
+					seed, f, g.BlockSteps, want)
 			}
 		}
 	}

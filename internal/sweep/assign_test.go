@@ -150,8 +150,10 @@ func TestAssignGroups(t *testing.T) {
 // 11 layout groups once identical CCDP layouts merge) at reduced scale,
 // on one and two workers. It reports the engine's time per replayed
 // event, net of prep, the block touches the groups' trace-stripped
-// members stepped per replayed event (the cascade's exact work), and the
-// max-over-mean worker load assignGroups plans for the replayed groups.
+// members stepped per replayed event (the cascade's exact work), the
+// records the replay broadcast per event (the share of events left after
+// runs of adjacent accesses fold), and the max-over-mean worker load
+// assignGroups plans for the replayed groups.
 func BenchmarkRunSharedReplay(b *testing.B) {
 	g := Grid{
 		Sizes:   []int64{8192, 16384},
@@ -174,7 +176,7 @@ func BenchmarkRunSharedReplay(b *testing.B) {
 				peak = max(peak, l)
 			}
 			var nanos, events int64
-			var steps uint64
+			var steps, recs uint64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := p.RunShared(par)
@@ -184,9 +186,11 @@ func BenchmarkRunSharedReplay(b *testing.B) {
 				nanos += res.WallNanos - res.PrepNanos
 				events += int64(res.Events)
 				steps += res.BlockSteps
+				recs += res.Records
 			}
 			b.ReportMetric(float64(nanos)/float64(events), "ns/event")
 			b.ReportMetric(float64(steps)/float64(events), "steps/event")
+			b.ReportMetric(float64(recs)/float64(events), "recs/event")
 			b.ReportMetric(float64(peak)*float64(workers)/float64(total), "max/mean-load")
 		})
 	}

@@ -23,7 +23,8 @@ import (
 	"repro/internal/workload"
 )
 
-// batchSize is how many enriched events one broadcast batch carries.
+// batchSize is how many events one broadcast batch carries, enriched
+// into at most as many records (runs of accesses fold).
 // Large enough that per-batch synchronization (one channel send per
 // worker, one atomic decrement per worker) is noise against the
 // simulation work; small enough that the in-flight window stays cheap.
@@ -211,6 +212,9 @@ type Result struct {
 	// BlockSteps sums the groups' sim.Group.BlockSteps: the block
 	// touches their trace-stripped members stepped (shared path only).
 	BlockSteps uint64
+	// Records counts the enriched records the replay broadcast, each a
+	// single event or a folded run of accesses (shared path only).
+	Records uint64
 }
 
 // ConfigsPerSec is the sweep's throughput in grid cells per second.
@@ -463,6 +467,8 @@ type broadcast struct {
 
 	batches     uint64
 	events      uint64
+	records     uint64
+	inBatch     int // events enriched into cur
 	decodeNanos int64
 	lastExit    time.Time
 
@@ -508,11 +514,12 @@ func (c *broadcast) HandleEvent(ev trace.Event) {
 func (c *broadcast) HandleBatch(evs []trace.Event) {
 	c.enter()
 	for len(evs) > 0 && !c.aborted {
-		n := min(len(evs), batchSize-len(c.cur.recs))
+		n := min(len(evs), batchSize-c.inBatch)
 		c.cur.recs = c.en.Append(c.cur.recs, evs[:n]...)
 		c.events += uint64(n)
+		c.inBatch += n
 		evs = evs[n:]
-		if len(c.cur.recs) == batchSize {
+		if c.inBatch == batchSize {
 			c.flush()
 		}
 	}
@@ -523,12 +530,14 @@ func (c *broadcast) flush() {
 	if c.aborted || len(c.cur.recs) == 0 {
 		return
 	}
+	c.inBatch = 0
 	if c.ctx.Err() != nil {
 		c.aborted = true
 		c.cur.recs = c.cur.recs[:0]
 		return
 	}
 	c.cur.pending.Store(c.workers)
+	c.records += uint64(len(c.cur.recs))
 	c.st.Send(c.cur)
 	c.batches++
 	c.cur = c.fl.Get()
@@ -977,6 +986,7 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 		DecodeNanos:       bc.decodeNanos,
 		Batches:           bc.batches,
 		Events:            bc.events,
+		Records:           bc.records,
 		Shared:            true,
 		PrepNanos:         acct.nanos,
 		PeakPrepBytes:     acct.peak,

@@ -7,12 +7,20 @@ import (
 	"repro/internal/object"
 )
 
-// Rec is one enriched event: the event plus every object-table fact a
-// downstream pass reads, resolved once by the Enricher at the stream
-// position where the live table holds it. The profilers (binding and TRG
-// build) and sim's address-resolving evaluator consume Recs only, never
-// the table, so records can be fanned out to concurrent consumers while
-// the decoder's table keeps mutating.
+// Rec is one enriched event, or a run of adjacent accesses: the event
+// plus every object-table fact a downstream pass reads, resolved once by
+// the Enricher at the stream position where the live table holds it. The
+// profilers (binding and TRG build) and sim's address-resolving evaluator
+// consume Recs only, never the table, so records can be fanned out to
+// concurrent consumers while the decoder's table keeps mutating.
+//
+// A Load or Store record stands for More+1 accesses of its kind to Obj,
+// each Size bytes, at Off, Off+Size, Off+2*Size and so on (see
+// Enricher.Append). The accesses touch blocks in ascending order, each
+// starting on the block the one before ended on or on the next, so a
+// consumer whose state an immediate re-touch leaves unchanged (a
+// direct-mapped filter, the TRG recency queue) may touch the run's span
+// [Off, Off+(More+1)*Size) once; any other consumer steps each access.
 type Rec struct {
 	Kind Kind
 	// Cat is the object's category.
@@ -20,8 +28,11 @@ type Rec struct {
 	// NonUnique is set on Alloc records when more than one live object
 	// carried the XOR name at the moment the Alloc was delivered.
 	NonUnique bool
-	Obj       object.ID
-	Off       int64
+	// More is how many further accesses a Load or Store record's run
+	// holds; 0 on every other record.
+	More uint8
+	Obj  object.ID
+	Off  int64
 	// Size is the access length (Load/Store), the allocation length
 	// (Alloc), or the freed object's size (Free).
 	Size int64
@@ -43,16 +54,18 @@ type RecHandler interface {
 // holds.
 const maxSnapshotChunk = 1024
 
-// Enricher turns the event stream into Recs. Per event it does one lookup
-// in its snapshot index (the object table is read only at an object's
-// first appearance and, for Allocs, for the live-XOR-name count) and
-// tallies the stream once: the Counter's totals and the per-object
-// reference counts that Step-driven cache simulators are stamped with
-// (cache.Sim.SetTally).
+// Enricher turns the event stream into Recs. Per record it does one
+// lookup in its snapshot index (the object table is read only at an
+// object's first appearance and, for Allocs, for the live-XOR-name count)
+// and per event it tallies the stream once: the Counter's totals and the
+// per-object reference counts that Step-driven cache simulators are
+// stamped with (cache.Sim.SetTally).
 //
 // As a BatchHandler it hands each delivered event batch to its sink as one
 // record batch, so the sink sees the same batch boundaries the emitter
-// produced. Callers that batch records themselves use Append instead.
+// produced; runs fold within the batch. HandleEvent's batches of one
+// record never fold. Callers that batch records themselves use Append
+// instead.
 type Enricher struct {
 	// Counter holds the stream totals of every event enriched so far.
 	Counter *Counter
@@ -93,15 +106,33 @@ func (e *Enricher) HandleBatch(evs []Event) {
 	e.sink.HandleRecs(e.recs)
 }
 
-// Append enriches and tallies evs and appends their records to dst.
+// Append enriches and tallies evs and appends their records to dst. A
+// load or store that extends dst's last record — same kind and object,
+// equal size above zero, starting where that record's run ends — folds
+// into it, up to 256 accesses a record. Every event is tallied once.
 func (e *Enricher) Append(dst []Rec, evs ...Event) []Rec {
 	n := len(dst)
 	// Extending within capacity skips zeroing: enrich writes every field.
 	dst = slices.Grow(dst, len(evs))[:n+len(evs)]
 	for i := range evs {
-		e.enrich(&dst[n+i], &evs[i])
+		ev := &evs[i]
+		if n > 0 && extends(&dst[n-1], ev) {
+			r := &dst[n-1]
+			r.More++
+			e.Counter.add(ev, r.Info)
+			e.ObjRefs[ev.Obj]++
+			continue
+		}
+		e.enrich(&dst[n], ev)
+		n++
 	}
-	return dst
+	return dst[:n]
+}
+
+// extends reports whether access ev continues r's run.
+func extends(r *Rec, ev *Event) bool {
+	return ev.Kind == r.Kind && ev.Obj == r.Obj && ev.Size == r.Size && ev.Size > 0 &&
+		r.Kind <= Store && r.More < 255 && ev.Off == r.Off+int64(r.More+1)*ev.Size
 }
 
 // enrich fills r with the record of ev and tallies ev.
@@ -109,7 +140,7 @@ func (e *Enricher) enrich(r *Rec, ev *Event) {
 	in := e.info(ev.Obj)
 	// Stored field by field: assigning a composite literal to *r measured
 	// several times slower on this per-event path.
-	r.Kind, r.Cat, r.NonUnique = ev.Kind, in.Category, false
+	r.Kind, r.Cat, r.NonUnique, r.More = ev.Kind, in.Category, false, 0
 	r.Obj, r.Off, r.Size, r.Info = ev.Obj, ev.Off, ev.Size, in
 	e.Counter.add(ev, in)
 	switch ev.Kind {
