@@ -218,3 +218,125 @@ func TestShardEdgeCountersIgnoreSchedule(t *testing.T) {
 		}
 	}
 }
+
+// recCapture keeps a copy of every record batch the enricher delivers, so
+// one stream can feed several profilers.
+type recCapture struct{ recs []trace.Rec }
+
+func (c *recCapture) HandleRecs(recs []trace.Rec) { c.recs = append(c.recs, recs...) }
+
+// pairwiseReplay is the TRG build before half-edges: it replays recs
+// through one recency queue and adds every scanned pair with a symmetric
+// AddWeight call to the graph of the shard that owns the touched chunk.
+// It returns the shard graphs and their merge.
+func pairwiseReplay(cfg Config, tbl *object.Table, recs []trace.Rec, shards int, owner func(trg.ChunkKey) int32) ([]*trg.Graph, *trg.Graph) {
+	var b binder
+	b.init(tbl, trg.NewGraph(cfg.ChunkSize))
+	var q recencyQueue
+	q.init(cfg.QueueThreshold, nil)
+	parts := make([]*trg.Graph, shards)
+	for i := range parts {
+		parts[i] = trg.NewGraph(cfg.ChunkSize)
+	}
+	for i := range recs {
+		r := &recs[i]
+		switch r.Kind {
+		case trace.Alloc:
+			b.noteAllocInfo(r.Obj, r.Info, r.NonUnique)
+		case trace.Load, trace.Store:
+			nd := b.nodeForInfo(r.Obj, r.Info)
+			size := max((int64(r.More)+1)*r.Size, 1)
+			for c := r.Off / cfg.ChunkSize; c <= (r.Off+size-1)/cfg.ChunkSize; c++ {
+				key := trg.MakeChunkKey(nd, int(c))
+				e := q.get(key)
+				if e == nil {
+					q.insert(key, max(min(cfg.ChunkSize, b.graph.Node(nd).Size-c*cfg.ChunkSize), 1))
+					continue
+				}
+				for x := q.head; x != e; x = x.next {
+					parts[owner(key)].AddWeight(key, x.key, 1)
+				}
+				q.moveToFront(e)
+			}
+		}
+	}
+	merged := trg.NewGraph(cfg.ChunkSize)
+	for _, g := range parts {
+		merged.Merge(g)
+	}
+	return parts, merged
+}
+
+// TestTRGCountersMatchPairwiseReplay pins what the TRG counters mean now
+// that scans record half-edges: trg.edges counts each undirected edge once
+// and trg.weight each scanned pair once, and profile.shardNN.edges counts
+// each shard graph after its own mirror — the values a symmetric
+// per-pair AddWeight replay of the same scans gives, at every shard count
+// and schedule.
+func TestTRGCountersMatchPairwiseReplay(t *testing.T) {
+	// streaming touches each chunk of a large global once between touches
+	// of a hot one, so its pairs are scanned from the hot end only: the
+	// half-edge graph holds one direction of them until it is mirrored.
+	streaming := workload{name: "streaming", run: func(tbl *object.Table, em *trace.Emitter) {
+		hot, big := tbl.AddGlobal("hot", 64), tbl.AddGlobal("big", 300*256)
+		for i := 0; i < 300; i++ {
+			em.Load(hot, 0, 8)
+			em.Load(big, int64(i)*256, 8)
+		}
+	}}
+	for _, wl := range append(shardWorkloads, hitDominated, streaming) {
+		tbl := object.NewTable(1024)
+		var c recCapture
+		em := trace.NewEmitter(tbl, trace.NewEnricher(tbl, &c))
+		wl.run(tbl, em)
+		em.Flush()
+		feed := func(h trace.RecHandler) {
+			for i := 0; i < len(c.recs); i += 256 {
+				h.HandleRecs(c.recs[i:min(i+256, len(c.recs))])
+			}
+		}
+		check := func(label string, mc *metrics.Collector, merged *trg.Graph) {
+			t.Helper()
+			if got, want := mc.Get(metrics.TRGEdges), uint64(merged.NumEdges()); got != want || want == 0 {
+				t.Errorf("%s: trg.edges %d, pairwise replay %d", label, got, want)
+			}
+			if got, want := mc.Get(metrics.TRGWeight), merged.TotalWeight(); got != want {
+				t.Errorf("%s: trg.weight %d, pairwise replay %d", label, got, want)
+			}
+		}
+
+		cfg := smallConfig()
+		cfg.Metrics = metrics.New()
+		p, err := New(cfg, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(p)
+		p.Finish()
+		_, merged := pairwiseReplay(cfg, tbl, c.recs, 1, func(trg.ChunkKey) int32 { return 0 })
+		check(wl.name+"/sequential", cfg.Metrics, merged)
+
+		for _, shards := range []int{1, 2, 4} {
+			for _, warmup := range []int{-1, 0} {
+				label := fmt.Sprintf("%s/shards=%d/warmup=%d", wl.name, shards, warmup)
+				cfg := smallConfig()
+				cfg.AdaptiveWarmup = warmup
+				cfg.Metrics = metrics.New()
+				s, err := NewSharded(cfg, tbl, shards, 8192)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feed(s)
+				s.Finish()
+				parts, merged := pairwiseReplay(cfg, tbl, c.recs, shards, s.shardOf)
+				check(label, cfg.Metrics, merged)
+				for i, g := range parts {
+					name := fmt.Sprintf("profile.shard%02d.edges", i)
+					if got, want := cfg.Metrics.GetNamed(name), uint64(g.NumEdges()); got != want {
+						t.Errorf("%s: %s %d, pairwise replay %d", label, name, got, want)
+					}
+				}
+			}
+		}
+	}
+}

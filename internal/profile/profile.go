@@ -259,6 +259,7 @@ type Profiler struct {
 	binder
 
 	q    recencyQueue
+	scan []trg.ChunkKey // reused scan scratch: the keys ahead of a hit
 	refs uint64
 }
 
@@ -342,9 +343,8 @@ func (p *Profiler) touch(key trg.ChunkKey, size int64) {
 	if e := p.q.get(key); e != nil {
 		// Record a temporal relationship with every chunk referenced
 		// since the last touch of key (the entries ahead of it).
-		for x := p.q.head; x != nil && x != e; x = x.next {
-			p.graph.AddWeight(key, x.key, 1)
-		}
+		p.scan = p.q.ahead(e, p.scan[:0])
+		p.graph.AddScan(key, p.scan)
 		p.q.moveToFront(e)
 		return
 	}

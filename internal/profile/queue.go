@@ -46,6 +46,15 @@ func (q *recencyQueue) init(threshold int64, mc *metrics.Collector) {
 // get returns key's entry, or nil when key is not queued.
 func (q *recencyQueue) get(key trg.ChunkKey) *qEntry { return q.entries[key] }
 
+// ahead appends to dst the keys of the entries ahead of e, most recent
+// first: the chunks referenced since e's key was last touched.
+func (q *recencyQueue) ahead(e *qEntry, dst []trg.ChunkKey) []trg.ChunkKey {
+	for x := q.head; x != nil && x != e; x = x.next {
+		dst = append(dst, x.key)
+	}
+	return dst
+}
+
 // occupancy returns the queued bytes.
 func (q *recencyQueue) occupancy() int64 { return q.bytes }
 

@@ -132,6 +132,7 @@ type shardWorker struct {
 	shard int32
 	q     recencyQueue
 	graph *trg.Graph
+	scan  []trg.ChunkKey // reused scan scratch
 
 	// mc is non-nil on worker 0 only: replicas evolve identically, so
 	// exactly one observes evictions and occupancy, keeping the counters
@@ -144,9 +145,8 @@ func (w *shardWorker) process(b *touchBatch) {
 		t := &b.touches[i]
 		if e := w.q.get(t.key); e != nil {
 			if t.shard == w.shard {
-				for x := w.q.head; x != nil && x != e; x = x.next {
-					w.graph.AddWeight(t.key, x.key, 1)
-				}
+				w.scan = w.q.ahead(e, w.scan[:0])
+				w.graph.AddScan(t.key, w.scan)
 			}
 			w.q.moveToFront(e)
 		} else {
@@ -171,10 +171,8 @@ func (s *Sharded) processInline(b *touchBatch) int {
 		t := &b.touches[i]
 		if e := w.q.get(t.key); e != nil {
 			hits++
-			g := s.workers[t.shard].graph
-			for x := w.q.head; x != nil && x != e; x = x.next {
-				g.AddWeight(t.key, x.key, 1)
-			}
+			w.scan = w.q.ahead(e, w.scan[:0])
+			s.workers[t.shard].graph.AddScan(t.key, w.scan)
 			w.q.moveToFront(e)
 		} else {
 			w.q.insert(t.key, t.size)
@@ -417,10 +415,10 @@ func (s *Sharded) HandleRecs(recs []trace.Rec) {
 	}
 }
 
-// Finish drains the workers, merges the per-shard edge arenas into the
-// shared graph in shard-major order, settles the TRG counters once (so
-// merged totals equal a sequential run's), and completes the profile.
-// It must be called exactly once.
+// Finish drains the workers, mirrors each shard's half-edges and merges
+// the per-shard edge arenas into the shared graph in shard-major order,
+// settles the TRG counters once (so merged totals equal a sequential
+// run's), and completes the profile. It must be called exactly once.
 func (s *Sharded) Finish() *Profile {
 	if s.mode == modeWarmup {
 		// The stream ended inside the warmup window: everything already
@@ -436,6 +434,7 @@ func (s *Sharded) Finish() *Profile {
 	}
 	mc := s.cfg.Metrics
 	for i, w := range s.workers {
+		w.graph.Mirror()
 		s.graph.Merge(w.graph)
 		if mc != nil {
 			mc.AddNamed(fmt.Sprintf("profile.shard%02d.edges", i), uint64(w.graph.NumEdges()))

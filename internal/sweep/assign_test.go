@@ -152,8 +152,9 @@ func TestAssignGroups(t *testing.T) {
 // event, net of prep, the block touches the groups' trace-stripped
 // members stepped per replayed event (the cascade's exact work), the
 // records the replay broadcast per event (the share of events left after
-// runs of adjacent accesses fold), and the max-over-mean worker load
-// assignGroups plans for the replayed groups.
+// runs of adjacent accesses fold), the max-over-mean worker load
+// assignGroups plans for the replayed groups, and the mean prep time per
+// run (profiles, placements and layout groups: Result.PrepNanos).
 func BenchmarkRunSharedReplay(b *testing.B) {
 	g := Grid{
 		Sizes:   []int64{8192, 16384},
@@ -175,7 +176,7 @@ func BenchmarkRunSharedReplay(b *testing.B) {
 			for _, l := range loads {
 				peak = max(peak, l)
 			}
-			var nanos, events int64
+			var nanos, events, prep int64
 			var steps, recs uint64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -184,6 +185,7 @@ func BenchmarkRunSharedReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 				nanos += res.WallNanos - res.PrepNanos
+				prep += res.PrepNanos
 				events += int64(res.Events)
 				steps += res.BlockSteps
 				recs += res.Records
@@ -192,6 +194,7 @@ func BenchmarkRunSharedReplay(b *testing.B) {
 			b.ReportMetric(float64(steps)/float64(events), "steps/event")
 			b.ReportMetric(float64(recs)/float64(events), "recs/event")
 			b.ReportMetric(float64(peak)*float64(workers)/float64(total), "max/mean-load")
+			b.ReportMetric(float64(prep)/float64(b.N)/1e6, "prep-ms")
 		})
 	}
 }

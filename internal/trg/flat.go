@@ -1,11 +1,11 @@
 package trg
 
 // Flat adjacency storage for TRGplace. The recency-queue scan in the
-// profiler calls Graph.AddWeight once per (current chunk, queue entry)
-// pair, making edge accumulation the hottest operation of the whole
-// profiling pass. The generic map[ChunkKey]map[ChunkKey]uint64 pays two
-// hashed lookups plus map-bucket pointer chasing per bump; this file
-// replaces it with:
+// profiler adds one half-edge per (current chunk, queue entry) pair
+// through Graph.AddScan, making edge accumulation the hottest operation
+// of the whole profiling pass. The generic
+// map[ChunkKey]map[ChunkKey]uint64 pays two hashed lookups plus
+// map-bucket pointer chasing per bump; this file replaces it with:
 //
 //   - an open-addressing index (power-of-two capacity, linear probing,
 //     multiplicative hashing) from ChunkKey to a dense arena of per-chunk
@@ -204,6 +204,14 @@ func (x *edgeIndex) getOrCreate(key ChunkKey) int {
 		x.grow()
 	}
 	return idx
+}
+
+// add accumulates w on the half-edge from→to and reports whether it was
+// newly materialized: one index probe plus an inline-array or
+// open-addressing accumulate, no nested map machinery.
+func (x *edgeIndex) add(from, to ChunkKey, w uint64) bool {
+	i := x.getOrCreate(from)
+	return x.arena[i].add(to, w)
 }
 
 func (x *edgeIndex) grow() {

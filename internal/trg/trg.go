@@ -99,12 +99,15 @@ func (n *Node) Chunks(chunkSize int64) int {
 // Graph is the TRGplace graph: nodes plus symmetric weighted edges between
 // chunk pairs. Adjacency lives in a flat open-addressing index (see
 // flat.go) rather than nested Go maps: edge accumulation is the hottest
-// operation of the profiling pass.
+// operation of the profiling pass. A graph is built either by AddWeight,
+// symmetric at every step, or by AddScan, as half-edges that Mirror (or
+// Finalize) makes symmetric.
 type Graph struct {
 	ChunkSize int64
 	nodes     []Node
 	adj       edgeIndex
 	totalW    uint64
+	half      bool // adj holds AddScan half-edges that Mirror has not folded
 	metrics   *metrics.Collector
 }
 
@@ -136,38 +139,87 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // Node returns a mutable pointer to node id; it is invalidated by AddNode.
 func (g *Graph) Node(id NodeID) *Node { return &g.nodes[id] }
 
-// AddWeight increments the symmetric edge (a, b) by w. Self-edges (same
-// node and chunk) are ignored: overlapping an object with itself is not a
-// placement decision.
+// AddWeight increments the symmetric edge (a, b) by w, storing both
+// directions. Self-edges (same node and chunk) are ignored: overlapping an
+// object with itself is not a placement decision. It panics on a graph
+// holding unmirrored AddScan half-edges, which Mirror would double.
 func (g *Graph) AddWeight(a, b ChunkKey, w uint64) {
+	if g.half {
+		panic("trg: AddWeight on a graph holding unmirrored half-edges (call Mirror first)")
+	}
 	if a == b || w == 0 {
 		return
 	}
-	if g.bump(a, b, w) {
+	if g.adj.add(a, b, w) {
 		g.metrics.Add(metrics.TRGEdges, 1)
 	}
-	g.bump(b, a, w)
+	g.adj.add(b, a, w)
 	g.totalW += w
 	g.metrics.Add(metrics.TRGWeight, w)
 }
 
-// bump adds w to the directed half-edge and reports whether it was newly
-// materialized: one index probe plus an inline-array or open-addressing
-// accumulate, no nested map machinery.
-func (g *Graph) bump(from, to ChunkKey, w uint64) bool {
-	return g.adj.arena[g.adj.getOrCreate(from)].add(to, w)
+// AddScan records one recency-queue scan (paper section 3.2): chunk a was
+// touched again, and every chunk in bs, which must not contain a, was
+// referenced since. With one index probe for a, each pair adds 1 to the
+// half-edge a→b only, and the pair count adds to the total weight. Until
+// Mirror the graph takes only AddScan; AddScan panics on a graph that
+// already holds symmetric edges.
+func (g *Graph) AddScan(a ChunkKey, bs []ChunkKey) {
+	if len(bs) == 0 {
+		return
+	}
+	if !g.half {
+		if len(g.adj.arena) != 0 {
+			panic("trg: AddScan on a graph holding symmetric edges")
+		}
+		g.half = true
+	}
+	i := g.adj.getOrCreate(a)
+	e := &g.adj.arena[i]
+	for _, b := range bs {
+		e.add(b, 1)
+	}
+	g.totalW += uint64(len(bs))
+	g.metrics.Add(metrics.TRGWeight, uint64(len(bs)))
+}
+
+// Mirror rebuilds the AddScan half-edges as the symmetric graph in
+// O(edges): a→b and b→a both come to hold h(a→b) + h(b→a), the number of
+// AddWeight(a, b, 1) calls the pair would have had, and the total weight
+// is unchanged. trg.edges counts the undirected edges here. Mirror is
+// idempotent and does nothing to a graph built by AddWeight.
+func (g *Graph) Mirror() {
+	if !g.half {
+		return
+	}
+	g.half = false
+	var sym edgeIndex
+	for i := range g.adj.arena {
+		e := &g.adj.arena[i]
+		e.forEach(func(to ChunkKey, w uint64) {
+			sym.add(e.from, to, w)
+			sym.add(to, e.from, w)
+		})
+	}
+	g.adj = sym
+	g.metrics.Add(metrics.TRGEdges, uint64(g.NumEdges()))
 }
 
 // Merge folds src's adjacency arena and total weight into g: every
 // directed half-edge weight adds, and chunk keys unseen by g extend its
 // arena in src's first-touch order — so merging per-shard arenas in a
-// fixed shard-major order is fully deterministic. Node metadata and
+// fixed shard-major order is fully deterministic. Neither graph may hold
+// unmirrored half-edges (Merge panics); mirroring is linear, so merged
+// mirrored shards equal the mirror of all their scans. Node metadata and
 // metrics are untouched (the sharded profiler keeps nodes on the shared
 // graph and accounts for counters once, after the final merge). src must
 // be quiescent and is left unmodified.
 func (g *Graph) Merge(src *Graph) {
 	if src == nil {
 		return
+	}
+	if g.half || src.half {
+		panic("trg: Merge with unmirrored half-edges (call Mirror first)")
 	}
 	for i := range src.adj.arena {
 		e := &src.adj.arena[i]
@@ -208,12 +260,14 @@ func (g *Graph) NumEdges() int {
 	return n / 2
 }
 
-// Finalize computes node popularity (the sum of incident TRGplace edge
-// weights) and marks as popular the smallest set of nodes accounting for
-// cutoff (e.g. 0.99) of total popularity — phase 0 of the placement
-// algorithm. Constants and the stack are always processed during placement
-// regardless of the flag, so only Global/Heap nodes are marked.
+// Finalize mirrors any AddScan half-edges, then computes node popularity
+// (the sum of incident TRGplace edge weights) and marks as popular the
+// smallest set of nodes accounting for cutoff (e.g. 0.99) of total
+// popularity — phase 0 of the placement algorithm. Constants and the stack
+// are always processed during placement regardless of the flag, so only
+// Global/Heap nodes are marked.
 func (g *Graph) Finalize(cutoff float64) {
+	g.Mirror()
 	for i := range g.nodes {
 		g.nodes[i].Popularity = 0
 		g.nodes[i].Popular = false
