@@ -108,6 +108,9 @@ const (
 	// lookups that had to run the profiling pass.
 	ProfileMemoHits
 	ProfileMemoMisses
+	// JobPanics counts service jobs that panicked: each failed that job,
+	// with the panic value and stack in its ledger, and the daemon ran on.
+	JobPanics
 
 	NumCounters int = iota
 )
@@ -143,6 +146,7 @@ var counterNames = [NumCounters]string{
 	ServerJobsEvicted:      "server.jobs_evicted",
 	ProfileMemoHits:        "profile.memo_hits",
 	ProfileMemoMisses:      "profile.memo_misses",
+	JobPanics:              "job.panics",
 }
 
 // String returns the counter's export name.

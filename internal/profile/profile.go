@@ -233,15 +233,20 @@ func (b *binder) noteAllocInfo(id object.ID, in *object.Info, nonUnique bool) {
 	}
 }
 
-// finishProfile creates nodes for declared-but-unreferenced globals and
-// constants (they still need placement slots), computes popularity, and
-// assembles the completed profile.
-func (b *binder) finishProfile(cfg Config, refs uint64) *Profile {
+// bindStatics creates nodes for declared-but-unreferenced globals and
+// constants: they still need placement slots.
+func (b *binder) bindStatics() {
 	b.objs.ForEach(func(in *object.Info) {
 		if in.Category == object.Global || in.Category == object.Constant {
 			b.nodeForInfo(in.ID, in)
 		}
 	})
+}
+
+// finishProfile binds the unreferenced statics, computes popularity, and
+// assembles the completed profile.
+func (b *binder) finishProfile(cfg Config, refs uint64) *Profile {
+	b.bindStatics()
 	b.graph.Finalize(cfg.PopularityCutoff)
 	return &Profile{
 		Config:    cfg,
@@ -345,7 +350,7 @@ func (p *Profiler) touch(key trg.ChunkKey, size int64) {
 		// since the last touch of key (the entries ahead of it).
 		p.scan = p.q.ahead(e, p.scan[:0])
 		p.graph.AddScan(key, p.scan)
-		p.q.moveToFront(e)
+		p.q.hit(e, size)
 		return
 	}
 	p.q.insert(key, size)

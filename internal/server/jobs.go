@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -136,6 +137,7 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // row in this registry, nothing durable.
 type Manager struct {
 	srv   *Server
+	work  func(context.Context, *Job, *metrics.Collector) ([]byte, error) // srv.execute; tests replace it
 	pool  *exec.Pool
 	mc    *metrics.Collector
 	epoch time.Time
@@ -156,6 +158,7 @@ func newManager(srv *Server) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Manager{
 		srv:        srv,
+		work:       srv.execute,
 		pool:       exec.NewPool(srv.cfg.Workers, srv.cfg.Queue, srv.mc),
 		mc:         srv.mc,
 		epoch:      time.Now(),
@@ -257,7 +260,7 @@ func (m *Manager) run(j *Job, wmc *metrics.Collector) {
 	m.mu.Unlock()
 
 	start := time.Now()
-	result, err := m.srv.execute(j.ctx, j, wmc)
+	result, err := m.execute(j, wmc)
 	wmc.Observe(metrics.HistJobNanos, uint64(time.Since(start).Nanoseconds()))
 
 	m.mu.Lock()
@@ -272,6 +275,19 @@ func (m *Manager) run(j *Job, wmc *metrics.Collector) {
 	default:
 		m.finish(j, StateFailed, nil, err)
 	}
+}
+
+// execute runs the job's computation and turns a panic on the job's
+// goroutine into the job's error, carrying the panic value and stack: a
+// panicking job fails that job, not the daemon.
+func (m *Manager) execute(j *Job, wmc *metrics.Collector) (result []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			m.mc.Add(metrics.JobPanics, 1)
+			result, err = nil, fmt.Errorf("server: job panicked: %v\n%s", v, debug.Stack())
+		}
+	}()
+	return m.work(j.ctx, j, wmc)
 }
 
 // finish moves the job to a terminal state exactly once: it seals the
@@ -298,6 +314,16 @@ func (m *Manager) finishFrom(j *Job, from, state JobState, result []byte, err er
 		j.errMsg = err.Error()
 	}
 	j.finished = time.Since(m.epoch)
+	// Count the outcome while the state is still locked, so a client that
+	// sees the terminal state also sees it counted in /metrics.
+	switch state {
+	case StateDone:
+		m.mc.Add(metrics.ServerJobsDone, 1)
+	case StateFailed:
+		m.mc.Add(metrics.ServerJobsFailed, 1)
+	case StateCancelled:
+		m.mc.Add(metrics.ServerJobsCancelled, 1)
+	}
 	j.mu.Unlock()
 
 	// Seal the telemetry before the ledger: Finish closes open spans and
@@ -309,31 +335,24 @@ func (m *Manager) finishFrom(j *Job, from, state JobState, result []byte, err er
 		errMsg = err.Error()
 	}
 	j.rec.Finish(string(state), errMsg)
-	j.lw.Trace(jobTrace(j, state))
+	j.lw.Trace(jobTrace(j, state, errMsg))
 	_ = j.lw.Close()
 	j.cancel()
-	switch state {
-	case StateDone:
-		m.mc.Add(metrics.ServerJobsDone, 1)
-	case StateFailed:
-		m.mc.Add(metrics.ServerJobsFailed, 1)
-	case StateCancelled:
-		m.mc.Add(metrics.ServerJobsCancelled, 1)
-	}
 	// Trim the registry before waking waiters, so a client told the job
 	// finished already sees retention applied.
 	m.evict()
 	close(j.done)
 }
 
-// jobTrace converts the job's recorded span tree into the ledger's
-// trace event (ledger schema v4).
-func jobTrace(j *Job, state JobState) ledger.Trace {
+// jobTrace converts the job's recorded span tree and terminal error into
+// the ledger's trace event (ledger schema v5).
+func jobTrace(j *Job, state JobState, errMsg string) ledger.Trace {
 	spans := j.rec.Snapshot()
 	t := ledger.Trace{
 		Job:   j.ID,
 		Kind:  string(j.Req.Kind),
 		State: string(state),
+		Error: errMsg,
 		Spans: make([]ledger.TraceSpan, len(spans)),
 	}
 	for i, sp := range spans {

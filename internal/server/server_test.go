@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -590,5 +591,46 @@ func TestGracefulListener(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + g.Addr()); err == nil {
 		t.Fatal("listener still accepting after Close")
+	}
+}
+
+// TestJobPanicFailsOnlyThatJob panics one job through the manager's work
+// seam: that job must fail with the panic value and stack in
+// its status and its ledger, the panic counter must count it, and the
+// next job on the same worker must still complete.
+func TestJobPanicFailsOnlyThatJob(t *testing.T) {
+	mc := metrics.New()
+	s, ts := newTestServer(t, Config{Workers: 1, Metrics: mc})
+	run := s.mgr.work
+	var calls atomic.Int32
+	s.mgr.work = func(ctx context.Context, j *Job, wmc *metrics.Collector) ([]byte, error) {
+		if calls.Add(1) == 1 {
+			panic("boom")
+		}
+		return run(ctx, j, wmc)
+	}
+
+	_, body := postJSON(t, ts.URL+"/v1/jobs", `{"kind":"place","workload":"compress"}`)
+	id := decodeStatus(t, body).ID
+	failed := waitTerminal(t, ts.URL, id)
+	<-s.mgr.Get(id).Done() // the ledger is sealed
+	if failed.State != StateFailed || !strings.Contains(failed.Error, "job panicked: boom") || !strings.Contains(failed.Error, "goroutine") {
+		t.Fatalf("panicking job finished %s with error %q, want failed with the panic value and stack", failed.State, failed.Error)
+	}
+	_, led := get(t, ts.URL+failed.LedgerURL)
+	if !bytes.Contains(led, []byte(`"state":"failed","error":"server: job panicked: boom\n`)) {
+		t.Fatalf("job ledger lacks the panic: %s", led)
+	}
+	if got := mc.Get(metrics.JobPanics); got != 1 {
+		t.Fatalf("%s = %d, want 1", metrics.JobPanics, got)
+	}
+
+	_, body = postJSON(t, ts.URL+"/v1/jobs", `{"kind":"place","workload":"compress"}`)
+	if next := waitTerminal(t, ts.URL, decodeStatus(t, body).ID); next.State != StateDone {
+		t.Fatalf("job after the panic finished %s (%s), want done", next.State, next.Error)
+	}
+	_, prom := get(t, ts.URL+"/metrics")
+	if !bytes.Contains(prom, []byte("ccdp_job_panics_total 1")) {
+		t.Fatalf("/metrics lacks ccdp_job_panics_total 1")
 	}
 }

@@ -153,8 +153,9 @@ func TestAssignGroups(t *testing.T) {
 // members stepped per replayed event (the cascade's exact work), the
 // records the replay broadcast per event (the share of events left after
 // runs of adjacent accesses fold), the max-over-mean worker load
-// assignGroups plans for the replayed groups, and the mean prep time per
-// run (profiles, placements and layout groups: Result.PrepNanos).
+// assignGroups plans for the replayed groups, the mean prep time per
+// run (profiles, placements and layout groups: Result.PrepNanos), the
+// heap lanes the replay ran and the profile builders prep ran.
 func BenchmarkRunSharedReplay(b *testing.B) {
 	g := Grid{
 		Sizes:   []int64{8192, 16384},
@@ -178,6 +179,7 @@ func BenchmarkRunSharedReplay(b *testing.B) {
 			}
 			var nanos, events, prep int64
 			var steps, recs uint64
+			var lanes, scans int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := p.RunShared(par)
@@ -189,12 +191,15 @@ func BenchmarkRunSharedReplay(b *testing.B) {
 				events += int64(res.Events)
 				steps += res.BlockSteps
 				recs += res.Records
+				lanes, scans = res.HeapLanes, res.ProfileScans
 			}
 			b.ReportMetric(float64(nanos)/float64(events), "ns/event")
 			b.ReportMetric(float64(steps)/float64(events), "steps/event")
 			b.ReportMetric(float64(recs)/float64(events), "recs/event")
 			b.ReportMetric(float64(peak)*float64(workers)/float64(total), "max/mean-load")
 			b.ReportMetric(float64(prep)/float64(b.N)/1e6, "prep-ms")
+			b.ReportMetric(float64(lanes), "lanes")
+			b.ReportMetric(float64(scans), "prof-scans")
 		})
 	}
 }

@@ -1,5 +1,7 @@
 package trg
 
+import "slices"
+
 // Flat adjacency storage for TRGplace. The recency-queue scan in the
 // profiler adds one half-edge per (current chunk, queue entry) pair
 // through Graph.AddScan, making edge accumulation the hottest operation
@@ -212,6 +214,22 @@ func (x *edgeIndex) getOrCreate(key ChunkKey) int {
 func (x *edgeIndex) add(from, to ChunkKey, w uint64) bool {
 	i := x.getOrCreate(from)
 	return x.arena[i].add(to, w)
+}
+
+// clone deep-copies the index: its tables, the arena, and every edge
+// list's spill table.
+func (x *edgeIndex) clone() edgeIndex {
+	c := edgeIndex{
+		keys:  slices.Clone(x.keys),
+		slots: slices.Clone(x.slots),
+		used:  x.used,
+		arena: slices.Clone(x.arena),
+	}
+	for i := range c.arena {
+		e := &c.arena[i]
+		e.keys, e.vals = slices.Clone(e.keys), slices.Clone(e.vals)
+	}
+	return c
 }
 
 func (x *edgeIndex) grow() {

@@ -22,6 +22,7 @@ package trg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/addrspace"
@@ -230,6 +231,16 @@ func (g *Graph) Merge(src *Graph) {
 		})
 	}
 	g.totalW += src.totalW
+}
+
+// Clone returns a deep copy of g: nodes, adjacency (half-edges stay
+// half-edges, in the same arena order) and total weight, with the same
+// metrics collector. Later adds to either graph leave the other alone.
+func (g *Graph) Clone() *Graph {
+	c := *g
+	c.nodes = slices.Clone(g.nodes)
+	c.adj = g.adj.clone()
+	return &c
 }
 
 // Weight returns the edge weight between chunk pairs a and b (0 if absent).

@@ -26,7 +26,7 @@ echo "==> test"
 go test ./...
 
 echo "==> cache kernel, sweep replay, trace store, heap arena, profiler and TRG build benchmark smoke"
-go test -run=NONE -bench='TouchBlock|RunSharedReplay|StoreReplay|ArenaAlloc|HandleRecs|Sharded|AddScan' -benchtime=1x ./internal/cache ./internal/sweep ./internal/sim ./internal/heapsim ./internal/profile ./internal/trg
+go test -run=NONE -bench='TouchBlock|RunSharedReplay|StoreReplay|ArenaAlloc|HandleRecs|Sharded|FamilyScan|AddScan' -benchtime=1x ./internal/cache ./internal/sweep ./internal/sim ./internal/heapsim ./internal/profile ./internal/trg
 
 # CI additionally runs the build-test job on a go-version matrix
 # (1.22.x, 1.23.x); locally you test whatever toolchain is installed.
