@@ -200,7 +200,7 @@ func BenchmarkCacheSweep(b *testing.B) {
 			for _, cc := range targets {
 				evalOpts := opts
 				evalOpts.Cache = cc
-				if _, err := sim.EvalPass(w, ins[1], sim.LayoutCCDP, pr, pm, evalOpts, 0); err != nil {
+				if _, err := sim.EvalFrom(sim.Live(w, ins[1], evalOpts), w.Name(), w.HeapPlacement(), ins[1], sim.LayoutCCDP, pr, pm, evalOpts, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -300,7 +300,7 @@ func BenchmarkAblationAllocator(b *testing.B) {
 	b.Run("first-fit", func(b *testing.B) {
 		var rate float64
 		for i := 0; i < b.N; i++ {
-			res, err := sim.EvalPass(w, in, sim.LayoutNatural, nil, nil, opts, 0)
+			res, err := sim.EvalFrom(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, sim.LayoutNatural, nil, nil, opts, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -320,7 +320,7 @@ func BenchmarkAblationAllocator(b *testing.B) {
 		b.ResetTimer()
 		var rate float64
 		for i := 0; i < b.N; i++ {
-			res, err := sim.EvalPass(w, in, sim.LayoutCCDP, pr, pm, opts, 0)
+			res, err := sim.EvalFrom(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, sim.LayoutCCDP, pr, pm, opts, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -374,7 +374,7 @@ func BenchmarkCacheSimulator(b *testing.B) {
 	opts := sim.DefaultOptions()
 	in := scaledInputs(w, benchScale)[0]
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.EvalPass(w, in, sim.LayoutNatural, nil, nil, opts, 0); err != nil {
+		if _, err := sim.EvalFrom(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, sim.LayoutNatural, nil, nil, opts, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,5 +41,5 @@ func Place(w Program, pr *ProfileResult, opts Options) (*PlacementMap, error) {
 // simulator. For LayoutCCDP, pr and pm must come from Profile and Place;
 // they are ignored otherwise.
 func Evaluate(w Program, in Input, kind LayoutKind, pr *ProfileResult, pm *PlacementMap, opts Options) (*EvalResult, error) {
-	return sim.EvalPass(w, in, kind, pr, pm, opts, 0)
+	return sim.EvalFrom(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, kind, pr, pm, opts, 0)
 }

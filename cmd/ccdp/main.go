@@ -238,14 +238,20 @@ func runFromFiles(w workload.Workload, opts sim.Options, layouts []sim.LayoutKin
 		Placement: pm,
 		Results:   make(map[string]map[sim.LayoutKind]*sim.EvalResult),
 	}
+	groups := make([]sim.GroupSpec, len(layouts))
+	for i, kind := range layouts {
+		groups[i].Layout = kind
+	}
 	for _, in := range inputs {
-		res, err := sim.EvalLayouts(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, layouts, pr, pm, opts, 0)
+		res, err := sim.Run(sim.Live(w, in, opts), sim.Pass{
+			Workload: w.Name(), Input: in, HeapPlace: w.HeapPlacement(), Profile: pr, Placement: pm, Groups: groups,
+		}, opts)
 		if err != nil {
 			return nil, err
 		}
 		byLayout := make(map[sim.LayoutKind]*sim.EvalResult, len(layouts))
 		for i, kind := range layouts {
-			byLayout[kind] = res[i]
+			byLayout[kind] = res[i][0].Eval
 		}
 		cmp.Results[in.Label] = byLayout
 	}

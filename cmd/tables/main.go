@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	tables [-json results.json] [-which all|1|2|3|4|5|fig3|random|sweep|hierarchy|classes|prefetch] [-workloads a,b,c] [-scale 1.0]
+//	tables [-json results.json] [-which all|1|2|3|4|5|fig3|random|sweep|hierarchy|classes|prefetch|victim] [-workloads a,b,c] [-scale 1.0]
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hierarchy"
 	"repro/internal/ledger"
-	"repro/internal/placement"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -120,20 +119,17 @@ func main() {
 	if show("random") {
 		fmt.Println(report.RandomTable(cmps))
 	}
-	if show("sweep") {
-		runSweep(*scale)
-	}
-	if show("hierarchy") {
-		runHierarchy(ws, *scale)
-	}
-	if show("classes") {
-		runClasses(ws, *scale)
-	}
-	if show("prefetch") {
-		runPrefetch(ws, *scale)
-	}
-	if show("victim") {
-		runVictim(ws, *scale)
+	for _, t := range []struct {
+		key string
+		run func(ws []workload.Workload, scale float64) error
+	}{{"sweep", runSweep}, {"hierarchy", runHierarchy}, {"classes", runClasses}, {"prefetch", runPrefetch}, {"victim", runVictim}} {
+		if !show(t.key) {
+			continue
+		}
+		if err := t.run(ws, *scale); err != nil {
+			fmt.Fprintf(os.Stderr, "tables: %s: %v\n", t.key, err)
+			os.Exit(1)
+		}
 	}
 }
 
@@ -295,35 +291,46 @@ func round(d time.Duration) time.Duration {
 
 // runVictim prints the hardware-vs-software comparison: a small victim
 // cache absorbs some of the same conflict misses CCDP removes.
-func runVictim(ws []workload.Workload, scale float64) {
+func runVictim(ws []workload.Workload, scale float64) error {
 	const entries = 4
-	base := sim.DefaultOptions()
+	victim := sim.DefaultOptions().Cache
+	victim.VictimEntries = entries
+	rows, order, err := quads(ws, scale, victim)
+	if err != nil {
+		return err
+	}
+	fmt.Println(report.VictimTable(rows, order, entries))
+	return nil
+}
+
+// runPrefetch prints the phase-5 prefetch interaction study.
+func runPrefetch(ws []workload.Workload, scale float64) error {
+	prefetch := sim.DefaultOptions().Cache
+	prefetch.Prefetch = true
+	rows, order, err := quads(ws, scale, prefetch)
+	if err != nil {
+		return err
+	}
+	fmt.Println(report.PrefetchTable(rows, order))
+	return nil
+}
+
+// quads evaluates each program's natural and CCDP layouts on the default
+// cache and on variant, in one pass per program: natural,
+// natural+variant, CCDP, CCDP+variant.
+func quads(ws []workload.Workload, scale float64, variant cache.Config) (map[string][4]*sim.EvalResult, []string, error) {
+	opts := sim.DefaultOptions()
 	rows := make(map[string][4]*sim.EvalResult)
 	var order []string
 	for _, w := range ws {
-		pr, pa, test, err := pipelineFor(w, scale, base)
+		res, err := tablePass(w, scale, opts, sim.Member{Cache: opts.Cache}, sim.Member{Cache: variant})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+			return nil, nil, err
 		}
-		// quad: natural, natural+victim, CCDP, CCDP+victim.
-		var quad [4]*sim.EvalResult
-		for i, victim := range []bool{false, true} {
-			opts := base
-			if victim {
-				opts.Cache.VictimEntries = entries
-			}
-			res, err := sim.EvalLayouts(sim.Live(w, test, opts), w.Name(), w.HeapPlacement(), test, natCCDP, pr, pa.pm, opts, 0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			quad[i], quad[2+i] = res[0], res[1]
-		}
-		rows[w.Name()] = quad
+		rows[w.Name()] = [4]*sim.EvalResult{res[0][0].Eval, res[0][1].Eval, res[1][0].Eval, res[1][1].Eval}
 		order = append(order, w.Name())
 	}
-	fmt.Println(report.VictimTable(rows, order, entries))
+	return rows, order, nil
 }
 
 // scaledWorkload wraps a workload with burst-scaled inputs.
@@ -335,164 +342,130 @@ type scaledWorkload struct {
 func (s scaledWorkload) Train() workload.Input { return s.Workload.Train().Scaled(s.frac) }
 func (s scaledWorkload) Test() workload.Input  { return s.Workload.Test().Scaled(s.frac) }
 
-// pipelineFor profiles and places one workload at the given scale.
-func pipelineFor(w workload.Workload, scale float64, opts sim.Options) (*sim.ProfileResult, *placementArtifacts, workload.Input, error) {
-	train, test := w.Train(), w.Test()
-	train.Bursts = int(float64(train.Bursts) * scale)
-	test.Bursts = int(float64(test.Bursts) * scale)
+// tablePass profiles and places w on its scaled train input, then
+// evaluates the natural and CCDP layouts on its scaled test input in one
+// pass: out[0] holds the natural group's members, out[1] the CCDP
+// group's, in members order.
+func tablePass(w workload.Workload, scale float64, opts sim.Options, members ...sim.Member) ([][]sim.MemberResult, error) {
+	train, test := w.Train().Scaled(scale), w.Test().Scaled(scale)
 	pr, err := sim.ProfilePass(w, train, opts)
 	if err != nil {
-		return nil, nil, test, err
+		return nil, err
 	}
 	pm, err := sim.Place(w, pr, opts)
 	if err != nil {
-		return nil, nil, test, err
+		return nil, err
 	}
-	return pr, &placementArtifacts{pm: pm}, test, nil
+	return sim.Run(sim.Live(w, test, opts), sim.Pass{
+		Workload: w.Name(), Input: test, HeapPlace: w.HeapPlacement(), Profile: pr, Placement: pm,
+		Groups: []sim.GroupSpec{{Layout: sim.LayoutNatural, Members: members}, {Layout: sim.LayoutCCDP, Members: members}},
+	}, opts)
 }
 
-type placementArtifacts struct{ pm *placement.Map }
-
-// natCCDP is the layout pair most tables evaluate in one pass.
-var natCCDP = []sim.LayoutKind{sim.LayoutNatural, sim.LayoutCCDP}
-
 // runClasses prints the three-C miss breakdown, original vs CCDP.
-func runClasses(ws []workload.Workload, scale float64) {
+func runClasses(ws []workload.Workload, scale float64) error {
 	opts := sim.DefaultOptions()
 	opts.Classify = true
 	rows := make(map[string][2]*sim.EvalResult)
 	var order []string
 	for _, w := range ws {
-		pr, pa, test, err := pipelineFor(w, scale, opts)
+		res, err := tablePass(w, scale, opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+			return err
 		}
-		res, err := sim.EvalLayouts(sim.Live(w, test, opts), w.Name(), w.HeapPlacement(), test, natCCDP, pr, pa.pm, opts, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		rows[w.Name()] = [2]*sim.EvalResult{res[0], res[1]}
+		rows[w.Name()] = [2]*sim.EvalResult{res[0][0].Eval, res[1][0].Eval}
 		order = append(order, w.Name())
 	}
 	fmt.Println(report.ClassTable(rows, order))
-}
-
-// runPrefetch prints the phase-5 prefetch interaction study.
-func runPrefetch(ws []workload.Workload, scale float64) {
-	base := sim.DefaultOptions()
-	rows := make(map[string][4]*sim.EvalResult)
-	var order []string
-	for _, w := range ws {
-		pr, pa, test, err := pipelineFor(w, scale, base)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		// quad: natural, natural+prefetch, CCDP, CCDP+prefetch.
-		var quad [4]*sim.EvalResult
-		for i, pf := range []bool{false, true} {
-			opts := base
-			opts.Cache.Prefetch = pf
-			res, err := sim.EvalLayouts(sim.Live(w, test, opts), w.Name(), w.HeapPlacement(), test, natCCDP, pr, pa.pm, opts, 0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			quad[i], quad[2+i] = res[0], res[1]
-		}
-		rows[w.Name()] = quad
-		order = append(order, w.Name())
-	}
-	fmt.Println(report.PrefetchTable(rows, order))
+	return nil
 }
 
 // runHierarchy reproduces the memory-hierarchy extension: the same
 // placements evaluated through an L1 + L2 + TLB stack.
-func runHierarchy(ws []workload.Workload, scale float64) {
-	opts := sim.DefaultOptions()
+func runHierarchy(ws []workload.Workload, scale float64) error {
+	rows, order, err := hierarchyRows(ws, scale)
+	if err != nil {
+		return err
+	}
+	fmt.Println(report.HierarchyTable(rows, order))
+	return nil
+}
+
+// hierarchyRows evaluates each program's natural and CCDP layouts
+// through the default hierarchy, in one pass per program.
+func hierarchyRows(ws []workload.Workload, scale float64) (map[string][2]*sim.HierarchyResult, []string, error) {
 	hcfg := hierarchy.DefaultConfig()
 	rows := make(map[string][2]*sim.HierarchyResult)
 	var order []string
 	for _, w := range ws {
-		train, test := w.Train(), w.Test()
-		train.Bursts = int(float64(train.Bursts) * scale)
-		test.Bursts = int(float64(test.Bursts) * scale)
-		pr, err := sim.ProfilePass(w, train, opts)
+		res, err := tablePass(w, scale, sim.DefaultOptions(), sim.Member{Hier: &hcfg})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+			return nil, nil, err
 		}
-		pm, err := sim.Place(w, pr, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		nat, err := sim.EvalHierarchy(w, test, sim.LayoutNatural, nil, nil, hcfg, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		ccdp, err := sim.EvalHierarchy(w, test, sim.LayoutCCDP, pr, pm, hcfg, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		rows[w.Name()] = [2]*sim.HierarchyResult{nat, ccdp}
+		rows[w.Name()] = [2]*sim.HierarchyResult{res[0][0].Hier, res[1][0].Hier}
 		order = append(order, w.Name())
 	}
-	fmt.Println(report.HierarchyTable(rows, order))
+	return rows, order, nil
+}
+
+// sweepTargets are the geometries runSweep evaluates a placement trained
+// for the 8K direct-mapped cache on.
+var sweepTargets = []cache.Config{
+	{Size: 4 * 1024, BlockSize: 32, Assoc: 1},
+	{Size: 8 * 1024, BlockSize: 32, Assoc: 1},
+	{Size: 16 * 1024, BlockSize: 32, Assoc: 1},
+	{Size: 8 * 1024, BlockSize: 32, Assoc: 2},
 }
 
 // runSweep reproduces the section 5.2 study: how a placement targeted at
 // one cache geometry fares on others, including an associative cache.
-func runSweep(scale float64) {
-	targets := []cache.Config{
-		{Size: 4 * 1024, BlockSize: 32, Assoc: 1},
-		{Size: 8 * 1024, BlockSize: 32, Assoc: 1},
-		{Size: 16 * 1024, BlockSize: 32, Assoc: 1},
-		{Size: 8 * 1024, BlockSize: 32, Assoc: 2},
-	}
-	fmt.Println("Section 5.2: placement trained for 8K direct-mapped, evaluated across geometries")
-	fmt.Printf("%-10s %-22s %9s %9s %7s\n", "program", "evaluated cache", "natural", "ccdp", "%red")
+// It studies three fixed programs, whatever -workloads selects.
+func runSweep(_ []workload.Workload, scale float64) error {
+	var ws []workload.Workload
 	for _, name := range []string{"espresso", "compress", "m88ksim"} {
 		w, err := workload.Get(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+			return err
 		}
-		opts := sim.DefaultOptions()
-		train := w.Train()
-		train.Bursts = int(float64(train.Bursts) * scale)
-		test := w.Test()
-		test.Bursts = int(float64(test.Bursts) * scale)
-
-		pr, err := sim.ProfilePass(w, train, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		pm, err := sim.Place(w, pr, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		for _, cc := range targets {
-			evalOpts := opts
-			evalOpts.Cache = cc
-			res, err := sim.EvalLayouts(sim.Live(w, test, evalOpts), w.Name(), w.HeapPlacement(), test, natCCDP, pr, pm, evalOpts, 0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			nat, ccdp := res[0], res[1]
+		ws = append(ws, w)
+	}
+	rows, err := sweepRows(ws, scale)
+	if err != nil {
+		return err
+	}
+	fmt.Println("Section 5.2: placement trained for 8K direct-mapped, evaluated across geometries")
+	fmt.Printf("%-10s %-22s %9s %9s %7s\n", "program", "evaluated cache", "natural", "ccdp", "%red")
+	for i, w := range ws {
+		for j, cc := range sweepTargets {
+			nat, ccdp := rows[i][j][0], rows[i][j][1]
 			red := 0.0
 			if nat.MissRate() > 0 {
 				red = 100 * (nat.MissRate() - ccdp.MissRate()) / nat.MissRate()
 			}
 			fmt.Printf("%-10s %-22s %8.2f%% %8.2f%% %6.1f%%\n",
-				name, cc.String(), nat.MissRate(), ccdp.MissRate(), red)
+				w.Name(), cc.String(), nat.MissRate(), ccdp.MissRate(), red)
 		}
 	}
+	return nil
+}
+
+// sweepRows evaluates each program's natural and CCDP layouts on every
+// sweep target in one pass per program: rows[program][target] holds the
+// natural and the CCDP result.
+func sweepRows(ws []workload.Workload, scale float64) ([][][2]*sim.EvalResult, error) {
+	members := make([]sim.Member, len(sweepTargets))
+	for j, cc := range sweepTargets {
+		members[j] = sim.Member{Cache: cc}
+	}
+	rows := make([][][2]*sim.EvalResult, len(ws))
+	for i, w := range ws {
+		res, err := tablePass(w, scale, sim.DefaultOptions(), members...)
+		if err != nil {
+			return nil, err
+		}
+		for j := range sweepTargets {
+			rows[i] = append(rows[i], [2]*sim.EvalResult{res[0][j].Eval, res[1][j].Eval})
+		}
+	}
+	return rows, nil
 }

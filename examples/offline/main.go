@@ -100,16 +100,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	nat, err := sim.EvalFromTrace(bytes.NewReader(raw), sim.LayoutNatural, nil, nil, false, opts)
+	// One replay of the trace feeds both layouts.
+	src, err := sim.OpenReplay(bytes.NewReader(raw), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	loadedPR := &sim.ProfileResult{Profile: loadedProf}
-	opt, err := sim.EvalFromTrace(bytes.NewReader(raw), sim.LayoutCCDP,
-		loadedPR, loadedMap, w.HeapPlacement(), opts)
+	res, err := sim.Run(src, sim.Pass{
+		HeapPlace: w.HeapPlacement(),
+		Profile:   &sim.ProfileResult{Profile: loadedProf},
+		Placement: loadedMap,
+		Groups:    []sim.GroupSpec{{Layout: sim.LayoutNatural}, {Layout: sim.LayoutCCDP}},
+	}, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	nat, opt := res[0][0].Eval, res[1][0].Eval
 	fmt.Printf("\nreplayed the recorded trace under both placements:\n")
 	fmt.Printf("  natural: %5.2f%% miss rate\n", nat.MissRate())
 	fmt.Printf("  CCDP:    %5.2f%% miss rate (from the reloaded placement map)\n", opt.MissRate())

@@ -124,18 +124,19 @@ func Run(w workload.Workload, opts sim.Options, layouts []sim.LayoutKind, inputs
 //
 // After the shared profile/placement step each input is evaluated in one
 // pass: its stream is opened and decoded once and feeds one sim.Group per
-// layout (sim.EvalLayouts), each with its own layout, allocator and cache
-// model, all reading the profile/placement read-only. The inputs' passes
-// are independent; with opts.Parallelism > 1 they fan out across a
-// bounded worker pool, and results are reassembled in canonical (input,
-// layout) order, so the Comparison is bit-identical to a sequential run.
+// layout (sim.Run), each with its own layout, allocator, cache model and,
+// with TrackPages, page tracker, all reading the profile/placement
+// read-only. The inputs' passes are independent; with opts.Parallelism >
+// 1 they fan out across a bounded worker pool, and results are
+// reassembled in canonical (input, layout) order, so the Comparison is
+// bit-identical to a sequential run.
 //
 // With e.Trace enabled, every pass is driven from trace files instead of
 // the live model: each input's stream is recorded once (a pure record
-// pass with no other consumers) and replayed for profiling, reference
-// counting, and every evaluation. Replay reconstructs the object tables
-// from the recorded headers and feeds the identical event sequence, so
-// the Comparison is again bit-identical — at any parallelism.
+// pass with no other consumers) and replayed for profiling and every
+// evaluation. Replay reconstructs the object tables from the recorded
+// headers and feeds the identical event sequence, so the Comparison is
+// again bit-identical — at any parallelism.
 func RunExperiment(e Experiment) (*Comparison, error) {
 	w, opts := e.Workload, e.Options
 	if w == nil {
@@ -197,21 +198,10 @@ func RunExperiment(e Experiment) (*Comparison, error) {
 		Results:   make(map[string]map[sim.LayoutKind]*sim.EvalResult),
 	}
 
-	// The refs hint (which sizes the paging tracker's working-set window)
-	// is an exact per-input quantity, identical for every layout of that
-	// input. Resolve it once up front, reusing the profile pass's count
-	// when an input is the profiled train input instead of re-counting.
-	hints := make([]uint64, len(inputs))
-	if opts.TrackPages {
-		for i, in := range inputs {
-			if in == w.Train() {
-				hints[i] = pr.Counter.Refs()
-			} else if hints[i], err = countRefs(store, w, in, opts); err != nil {
-				return nil, fmt.Errorf("core: counting %s/%s: %w", w.Name(), in.Label, err)
-			}
-		}
+	groups := make([]sim.GroupSpec, len(layouts))
+	for l, kind := range layouts {
+		groups[l].Layout = kind
 	}
-
 	// evalInput evaluates every layout on input i in one pass, wrapped per
 	// (input × layout) unit in an OnStage call, a span and an eval
 	// summary, each unit's interval being the shared pass. Both the
@@ -228,17 +218,19 @@ func RunExperiment(e Experiment) (*Comparison, error) {
 		}
 		start := time.Now()
 		src, err := open(store, w, in, passOpts)
-		var res []*sim.EvalResult
+		var out [][]sim.MemberResult
 		if err == nil {
-			res, err = sim.EvalLayouts(src, w.Name(), w.HeapPlacement(), in, layouts, pr, pm, passOpts, hints[i])
+			out, err = sim.Run(src, sim.Pass{Workload: w.Name(), Input: in, HeapPlace: w.HeapPlacement(), Profile: pr, Placement: pm, Groups: groups}, passOpts)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: evaluating %s/%s: %w", w.Name(), in.Label, err)
 		}
 		wall := time.Since(start)
-		for _, r := range res {
-			e.done(w.Name(), metrics.StageEval, in.Label+"/"+string(r.Layout), start, wall)
-			e.Ledger.Eval(ledgerEval(r))
+		res := make([]*sim.EvalResult, len(out))
+		for l, r := range out {
+			res[l] = r[0].Eval
+			e.done(w.Name(), metrics.StageEval, in.Label+"/"+string(res[l].Layout), start, wall)
+			e.Ledger.Eval(ledgerEval(res[l]))
 		}
 		return res, nil
 	}
@@ -387,16 +379,4 @@ func open(store *sim.TraceStore, w workload.Workload, in workload.Input, opts si
 		return sim.Live(w, in, opts), nil
 	}
 	return store.Open(in, opts)
-}
-
-// countRefs sizes a working-set window, live or from the trace store. The
-// sizing pass never feeds the metrics collector (CountRefs's contract), so
-// the stream opens with a nil collector.
-func countRefs(store *sim.TraceStore, w workload.Workload, in workload.Input, opts sim.Options) (uint64, error) {
-	opts.Metrics = nil
-	src, err := open(store, w, in, opts)
-	if err != nil {
-		return 0, err
-	}
-	return sim.CountRefsFrom(src)
 }

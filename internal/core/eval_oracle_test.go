@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -13,8 +14,8 @@ import (
 
 // TestComparisonMatchesIndependentEvalPass holds RunExperiment's shared
 // per-input pass to an oracle that shares nothing: every result must
-// encode exactly like an independent sim.EvalPass of the same (input,
-// layout), run live on its own stream with its own refs count. It covers
+// encode exactly like an independent one-layout pass of the same (input,
+// layout), a sim.EvalFrom run live on its own stream. It covers
 // the three layouts, both base heap fits, classification with
 // attribution, page tracking, live and replayed streams, and both
 // evaluation paths (sequential and the per-input worker pool).
@@ -60,7 +61,7 @@ func TestComparisonMatchesIndependentEvalPass(t *testing.T) {
 						for _, kind := range layouts {
 							key := in.Label + "/" + string(kind)
 							if want[key] == nil {
-								oracle, err := sim.EvalPass(w, in, kind, cmp.Profile, cmp.Placement, opts, 0)
+								oracle, err := sim.EvalFrom(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, kind, cmp.Profile, cmp.Placement, opts, 0)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -71,7 +72,7 @@ func TestComparisonMatchesIndependentEvalPass(t *testing.T) {
 								t.Fatalf("%s/%s trace=%v parallel=%d: %s result missing or mislabelled", name, v.name, tc.Enabled(), par, key)
 							}
 							if got := sim.EncodeEvalResult(res); !bytes.Equal(got, want[key]) {
-								t.Fatalf("%s/%s trace=%v parallel=%d: %s diverged from an independent EvalPass:\n--- experiment ---\n%s--- oracle ---\n%s",
+								t.Fatalf("%s/%s trace=%v parallel=%d: %s diverged from an independent pass:\n--- experiment ---\n%s--- oracle ---\n%s",
 									name, v.name, tc.Enabled(), par, key, got, want[key])
 							}
 						}
@@ -86,6 +87,9 @@ func TestComparisonMatchesIndependentEvalPass(t *testing.T) {
 // experiment does: one replay for the profile and one per input for all
 // of its layouts — three streams, not one per (input × layout) unit —
 // at either parallelism, while the eval stage still counts every unit.
+// With TrackPages a live experiment runs the model three times too: the
+// page tracker sizes its window after the pass, so no input is driven
+// again to count its references.
 func TestExperimentDecodesEachInputOnce(t *testing.T) {
 	w := small(t, "gcc")
 	for _, par := range []int{1, 4} {
@@ -105,5 +109,31 @@ func TestExperimentDecodesEachInputOnce(t *testing.T) {
 				t.Errorf("eval stage count = %d, want 4 (2 inputs × 2 layouts)", got)
 			}
 		})
+		t.Run(fmt.Sprintf("pages/parallel%d", par), func(t *testing.T) {
+			cw := countingWorkload{Workload: w, runs: new(atomic.Int32)}
+			opts := sim.DefaultOptions()
+			opts.Parallelism, opts.TrackPages = par, true
+			cmp, err := core.RunExperiment(core.Experiment{Workload: cw, Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cw.runs.Load(); got != 3 {
+				t.Errorf("live model runs = %d, want 3 (profile + one per input)", got)
+			}
+			if res := cmp.Result(w.Test().Label, sim.LayoutNatural); res.TotalPages == 0 || res.WorkingSet == 0 {
+				t.Errorf("test input tracked no pages: total %d, working set %g", res.TotalPages, res.WorkingSet)
+			}
+		})
 	}
+}
+
+// countingWorkload counts the live runs of its model.
+type countingWorkload struct {
+	workload.Workload
+	runs *atomic.Int32
+}
+
+func (c countingWorkload) Run(in workload.Input, p *workload.Prog) {
+	c.runs.Add(1)
+	c.Workload.Run(in, p)
 }

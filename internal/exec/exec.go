@@ -12,9 +12,9 @@
 //   - each worker gets its own metrics.Collector, merged into the
 //     caller's via Collector.Merge after the pool drains, so hot loops
 //     never contend on shared counter cache lines;
-//   - the first task error cancels the pool's context (in-flight tasks
-//     finish, unstarted ones are skipped) and all errors are aggregated
-//     with errors.Join in task order.
+//   - the first task error, a recovered panic included, cancels the
+//     pool's context (in-flight tasks finish, unstarted ones are skipped)
+//     and all errors are aggregated with errors.Join in task order.
 //
 // Two scheduling shapes share those rules: Map, for finite task lists, and
 // Stream, for ordered fan-out of an unbounded item sequence to long-lived
@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -108,7 +109,9 @@ type Task[T any] func(ctx context.Context, mc *metrics.Collector) (T, error)
 // in-order single worker. mc, when non-nil, receives the merged
 // per-worker collectors after every worker has exited. The returned
 // error is errors.Join over the per-task errors (nil when all succeed);
-// tasks skipped after a cancellation report a wrapped context error.
+// tasks skipped after a cancellation report a wrapped context error. A
+// task that panics fails with an error carrying the panic value and
+// stack, and cancels the rest like any other task error.
 func Map[T any](ctx context.Context, parallelism int, mc *metrics.Collector, tasks []Task[T]) ([]T, error) {
 	n := len(tasks)
 	results := make([]T, n)
@@ -150,7 +153,7 @@ func Map[T any](ctx context.Context, parallelism int, mc *metrics.Collector, tas
 					errs[i] = fmt.Errorf("exec: task %d skipped: %w", i, err)
 					continue
 				}
-				res, err := tasks[i](ctx, wmc)
+				res, err := run(ctx, i, tasks[i], wmc)
 				results[i] = res
 				if err != nil {
 					errs[i] = err
@@ -164,4 +167,14 @@ func Map[T any](ctx context.Context, parallelism int, mc *metrics.Collector, tas
 		mc.Merge(c)
 	}
 	return results, errors.Join(errs...)
+}
+
+// run runs task i, turning a panic on the worker into the task's error.
+func run[T any](ctx context.Context, i int, task Task[T], mc *metrics.Collector) (res T, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("exec: task %d panicked: %v\n%s", i, v, debug.Stack())
+		}
+	}()
+	return task(ctx, mc)
 }

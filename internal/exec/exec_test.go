@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,6 +109,49 @@ func TestMapCancelsAfterFirstError(t *testing.T) {
 	}
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d tasks ran after the failure on a sequential pool", n)
+	}
+}
+
+// TestMapRecoversTaskPanic holds a panicking task to the error path: its
+// error names the panic value and carries the stack, the tasks after it
+// are skipped, and Map returns instead of the panic killing the process.
+// Task 1 may run beside task 0 on a second worker; it waits for the
+// cancellation the panic causes, so every later task sees it.
+func TestMapRecoversTaskPanic(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallel%d", par), func(t *testing.T) {
+			var ran atomic.Int64
+			tasks := []Task[int]{
+				func(context.Context, *metrics.Collector) (int, error) { panic("kaboom") },
+				func(ctx context.Context, _ *metrics.Collector) (int, error) { <-ctx.Done(); return 0, ctx.Err() },
+			}
+			for i := 2; i < 6; i++ {
+				tasks = append(tasks, func(context.Context, *metrics.Collector) (int, error) { ran.Add(1); return i, nil })
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := Map(context.Background(), par, metrics.New(), tasks)
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Map did not return after a task panicked")
+			}
+			msg := fmt.Sprint(err)
+			if !strings.Contains(msg, "task 0 panicked: kaboom") || !strings.Contains(msg, "exec_test.go") {
+				t.Fatalf("error does not name the panic and its stack:\n%s", msg)
+			}
+			for i := 2; i < 6; i++ {
+				if !strings.Contains(msg, fmt.Sprintf("task %d skipped", i)) {
+					t.Errorf("task %d not reported skipped:\n%s", i, msg)
+				}
+			}
+			if n := ran.Load(); n != 0 {
+				t.Errorf("%d tasks ran after the panic", n)
+			}
+		})
 	}
 }
 

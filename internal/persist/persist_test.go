@@ -178,11 +178,11 @@ func TestLoadedPlacementDrivesEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	direct, err := sim.EvalPass(w, in, sim.LayoutCCDP, pr, pm, opts, 0)
+	direct, err := sim.EvalFrom(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, sim.LayoutCCDP, pr, pm, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := sim.EvalPass(w, in, sim.LayoutCCDP, &sim.ProfileResult{Profile: lp}, lm, opts, 0)
+	loaded, err := sim.EvalFrom(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, sim.LayoutCCDP, &sim.ProfileResult{Profile: lp}, lm, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,11 @@ func smallPipeline(t *testing.T, name string) (*sim.ProfileResult, *sim.EvalResu
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := sim.EvalPass(w, in, sim.LayoutNatural, nil, nil, opts, 0)
+	nat, err := sim.EvalFrom(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, sim.LayoutNatural, nil, nil, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccdp, err := sim.EvalPass(w, in, sim.LayoutCCDP, pr, pm, opts, 0)
+	ccdp, err := sim.EvalFrom(sim.Live(w, in, opts), w.Name(), w.HeapPlacement(), in, sim.LayoutCCDP, pr, pm, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +118,14 @@ func TestHierarchyTable(t *testing.T) {
 	in := w.Train()
 	in.Bursts /= 20
 	hcfg := hierarchy.DefaultConfig()
-	nat, err := sim.EvalHierarchy(w, in, sim.LayoutNatural, nil, nil, hcfg, opts)
+	res, err := sim.Run(sim.Live(w, in, opts), sim.Pass{
+		Workload: w.Name(), Input: in,
+		Groups: []sim.GroupSpec{{Layout: sim.LayoutNatural, Members: []sim.Member{{Hier: &hcfg}}}},
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nat := res[0][0].Hier
 	rows := map[string][2]*sim.HierarchyResult{w.Name(): {nat, nat}}
 	out := HierarchyTable(rows, []string{w.Name()})
 	if !strings.Contains(out, "fpppp") || !strings.Contains(out, "TLB") {

@@ -15,10 +15,10 @@ import (
 // numbers, and miss attribution.
 //
 // Deliberately excluded: the Workload/Input labels (a trace replay
-// carries neither — EvalFromTrace returns "" and a zero Input) and the
-// Objects table pointer (identity, not content). Encoding a nil result
-// returns "evalresult: nil\n" so diffs against missing cells fail
-// loudly rather than match.
+// carries neither, so the sweep's passes label results "" and a zero
+// Input) and the Objects table pointer (identity, not content). Encoding
+// a nil result returns "evalresult: nil\n" so diffs against missing
+// cells fail loudly rather than match.
 func EncodeEvalResult(r *EvalResult) []byte {
 	if r == nil {
 		return []byte("evalresult: nil\n")

@@ -168,7 +168,7 @@ func newFoldSinks(t *testing.T, tbl *object.Table, en func() *trace.Enricher) *f
 		}
 	}
 
-	g := &Group{Pages: vmpage.NewTracker(997)}
+	g := &Group{Pages: vmpage.NewTracker(0.01)}
 	g.SetLayout(tbl, layout.Natural(tbl), heapsim.NewTemporalFit())
 	c := func(size, block int64, assoc int) cache.Config {
 		return cache.Config{Size: size, BlockSize: block, Assoc: assoc}
@@ -181,24 +181,25 @@ func newFoldSinks(t *testing.T, tbl *object.Table, en func() *trace.Enricher) *f
 		{cfg: cache.Config{Size: 4096, BlockSize: 64, Assoc: 2, WriteBack: true}},
 		{cfg: cache.Config{Size: 1024, BlockSize: 16, Assoc: 1, VictimEntries: 4}},
 	}
-	var sims []*cache.Sim
+	var sims []MemberSim
 	for _, m := range members {
 		o := DefaultOptions()
 		o.Cache, o.Classify, o.Attribution = m.cfg, m.classify, m.attribution
-		cs, err := g.AddSim(o, tbl.Len())
+		cs, err := g.Add(Member{Cache: m.cfg}, o, tbl.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
 		sims = append(sims, cs)
 	}
-	hs, err := g.AddHier(hierarchy.Config{L1: c(1024, 32, 1), L2: c(8192, 32, 4), TLBEntries: 8}, DefaultOptions(), tbl.Len())
+	ms, err := g.Add(Member{Hier: &hierarchy.Config{L1: c(1024, 32, 1), L2: c(8192, 32, 4), TLBEntries: 8}}, DefaultOptions(), tbl.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
+	hs := ms.Hier
 	f.add("group", g, func() []byte {
 		var out []any
 		for _, cs := range sims {
-			res := g.Result(cs, en(), LayoutNatural)
+			res := g.Result(cs, en(), LayoutNatural).Eval
 			out = append(out, res.Stats, res.ObjRefs, res.ObjMisses, res.Attribution, res.AllocStats, res.TotalPages, res.WorkingSet)
 		}
 		out = append(out, hs.Stats(), hs.Attribution().Stats(), en().Counter.Loads, en().Counter.Stores, en().Counter.CategoryRefs)

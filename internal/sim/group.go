@@ -20,10 +20,10 @@ import (
 // (object, offset) to an address under one layout — statics through a
 // table filled once from the layout, heap objects at the address its
 // heap Lane gave their Alloc — and hands the address to every member
-// simulator. Every evaluation runs through it: an EvalLayouts pass feeds
-// one group of one member per layout from a single enricher, and the
-// sweep engine shares one group among all cells with the same effective
-// layout, and one lane among all groups with the same allocator.
+// simulator. Every evaluation runs through it: a Run pass feeds one group
+// per layout from a single enricher, and the sweep engine shares one
+// group among all cells with the same effective layout, and one lane
+// among all groups with the same allocator.
 //
 // Single-level members run only the cache's geometry step: the stream's
 // reference tally is the Enricher's, and Result stamps it onto them.
@@ -209,34 +209,53 @@ func (g *Group) SetLane(l *Lane) { g.lane = l }
 // statics.
 func (g *Group) SameStatics(o *Group) bool { return slices.Equal(g.addr, o.addr) }
 
-// AddSim attaches a single-level member for opts.Cache, with
-// classification and attribution as opts asks, its per-object counters
-// pre-sized to n objects (the table's size when the enricher starts).
-func (g *Group) AddSim(opts Options, n int) (*cache.Sim, error) {
-	cs, err := cache.New(opts.Cache, opts.Classify)
+// Member is one simulator of a group: a single-level cache, or with Hier
+// set, an L1+L2+TLB hierarchy (Cache is then unused).
+type Member struct {
+	Cache cache.Config
+	Hier  *hierarchy.Config
+}
+
+// MemberSim is an attached member's simulator: Cache for a single-level
+// member, Hier for a hierarchy.
+type MemberSim struct {
+	Cache *cache.Sim
+	Hier  *hierarchy.Sim
+}
+
+// MemberResult is a member's evaluation: Eval for a single-level member,
+// Hier for a hierarchy.
+type MemberResult struct {
+	Eval *EvalResult
+	Hier *HierarchyResult
+}
+
+// Add attaches member m, with classification and attribution (on a
+// hierarchy's L1) as opts asks, its per-object counters pre-sized to n
+// objects (the table's size when the enricher starts).
+func (g *Group) Add(m Member, opts Options, n int) (MemberSim, error) {
+	if m.Hier != nil {
+		hs, err := hierarchy.New(*m.Hier)
+		if err != nil {
+			return MemberSim{}, err
+		}
+		if opts.Attribution {
+			hs.SetAttribution(cache.NewAttribution(m.Hier.L1, opts.AttributionPairs))
+		}
+		hs.PresizeObjects(n)
+		g.Hiers = append(g.Hiers, hs)
+		return MemberSim{Hier: hs}, nil
+	}
+	cs, err := cache.New(m.Cache, opts.Classify)
 	if err != nil {
-		return nil, err
+		return MemberSim{}, err
 	}
 	if opts.Attribution {
-		cs.SetAttribution(cache.NewAttribution(opts.Cache, opts.AttributionPairs))
+		cs.SetAttribution(cache.NewAttribution(m.Cache, opts.AttributionPairs))
 	}
 	cs.PresizeObjects(n)
 	g.Sims = append(g.Sims, cs)
-	return cs, nil
-}
-
-// AddHier attaches a hierarchy member, with L1 attribution as opts asks.
-func (g *Group) AddHier(hcfg hierarchy.Config, opts Options, n int) (*hierarchy.Sim, error) {
-	hs, err := hierarchy.New(hcfg)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Attribution {
-		hs.SetAttribution(cache.NewAttribution(hcfg.L1, opts.AttributionPairs))
-	}
-	hs.PresizeObjects(n)
-	g.Hiers = append(g.Hiers, hs)
-	return hs, nil
+	return MemberSim{Cache: cs}, nil
 }
 
 // Size is the group's member count.
@@ -337,10 +356,14 @@ func (gs groups) HandleRecs(recs []trace.Rec) {
 	}
 }
 
-// Result stamps the single-level member cs with en's tally — en must be
-// the enricher that fed this group — and reads out its evaluation,
-// paging included when the group tracks pages.
-func (g *Group) Result(cs *cache.Sim, en *trace.Enricher, kind LayoutKind) *EvalResult {
+// Result reads out member m's evaluation. A single-level member is
+// first stamped with en's tally (en must be the enricher that fed this
+// group), and its result carries paging when the group tracks pages.
+func (g *Group) Result(m MemberSim, en *trace.Enricher, kind LayoutKind) MemberResult {
+	if hs := m.Hier; hs != nil {
+		return MemberResult{Hier: &HierarchyResult{Layout: kind, Stats: hs.Stats(), Attribution: hs.Attribution().Stats()}}
+	}
+	cs := m.Cache
 	cs.SetTally(en.Counter.Refs(), en.Counter.CategoryRefs, en.ObjRefs)
 	res := &EvalResult{
 		Layout:      kind,
@@ -355,14 +378,5 @@ func (g *Group) Result(cs *cache.Sim, en *trace.Enricher, kind LayoutKind) *Eval
 		res.TotalPages = g.Pages.TotalPages()
 		res.WorkingSet = g.Pages.WorkingSet()
 	}
-	return res
-}
-
-// HierResult reads out the evaluation of the hierarchy member hs.
-func HierResult(hs *hierarchy.Sim, kind LayoutKind) *HierarchyResult {
-	return &HierarchyResult{
-		Layout:      kind,
-		Stats:       hs.Stats(),
-		Attribution: hs.Attribution().Stats(),
-	}
+	return MemberResult{Eval: res}
 }

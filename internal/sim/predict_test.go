@@ -72,11 +72,11 @@ func TestPredictionTracksMeasurement(t *testing.T) {
 					predNat, predCCDP)
 			}
 
-			nat, err := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
+			nat, err := evalLive(w, in, LayoutNatural, nil, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ccdp, err := EvalPass(w, in, LayoutCCDP, pr, pm, opts, 0)
+			ccdp, err := evalLive(w, in, LayoutCCDP, pr, pm, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

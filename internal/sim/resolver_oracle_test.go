@@ -154,11 +154,10 @@ func TestEvalMatchesNaiveResolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs := CountRefs(w, test, DefaultOptions())
 		for _, c := range cases {
 			t.Run(name+"/"+c.String(), func(t *testing.T) {
 				opts := oracleOptions(c)
-				got, err := EvalFrom(Live(w, test, opts), name, c.heapPlace, test, c.kind, pr, pm, opts, refs)
+				got, err := EvalFrom(Live(w, test, opts), name, c.heapPlace, test, c.kind, pr, pm, opts, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,7 +172,7 @@ func TestEvalMatchesNaiveResolver(t *testing.T) {
 				}
 				ref.cs.PresizeObjects(src.Objects().Len())
 				if c.pages {
-					ref.pages = vmpage.NewTracker(uint64(float64(refs) * opts.PageWindowFrac))
+					ref.pages = vmpage.NewTracker(opts.PageWindowFrac)
 				}
 				if err := src.Drive(ref); err != nil {
 					t.Fatal(err)
@@ -219,10 +218,14 @@ func TestEvalHierarchyMatchesNaiveResolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	hcfg := hierarchy.DefaultConfig()
-	got, err := EvalHierarchyFrom(Live(w, test, opts), "gcc", true, test, LayoutCCDP, pr, pm, hcfg, opts)
+	res, err := Run(Live(w, test, opts), Pass{
+		Workload: "gcc", Input: test, HeapPlace: true, Profile: pr, Placement: pm,
+		Groups: []GroupSpec{{Layout: LayoutCCDP, Members: []Member{{Hier: &hcfg}}}},
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res[0][0].Hier
 
 	src := Live(w, test, opts)
 	ref := newRefResolver(t, src.Objects(), c, pr, pm, opts)
@@ -235,6 +238,6 @@ func TestEvalHierarchyMatchesNaiveResolver(t *testing.T) {
 	}
 	want := &HierarchyResult{Layout: LayoutCCDP, Stats: ref.hs.Stats(), Attribution: ref.hs.Attribution().Stats()}
 	if g, w := EncodeHierarchyResult(got), EncodeHierarchyResult(want); !bytes.Equal(g, w) {
-		t.Fatalf("EvalHierarchyFrom diverged from the naive resolver:\n--- EvalHierarchyFrom ---\n%s--- oracle ---\n%s", g, w)
+		t.Fatalf("Run diverged from the naive resolver:\n--- Run ---\n%s--- oracle ---\n%s", g, w)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/addrspace"
 	"repro/internal/cache"
 	"repro/internal/heapsim"
+	"repro/internal/hierarchy"
 	"repro/internal/layout"
 	"repro/internal/metrics"
 	"repro/internal/object"
@@ -221,9 +222,9 @@ const (
 	LayoutRandom  LayoutKind = "random"
 )
 
-// EvalResult is the outcome of one evaluation pass. The results that
-// EvalLayouts returns for one stream share its Counter and Objects; treat
-// both as read-only.
+// EvalResult is the outcome of one single-level member's evaluation.
+// The results Run returns for one stream share its Counter and Objects;
+// treat both as read-only.
 type EvalResult struct {
 	Workload string
 	Input    workload.Input
@@ -251,55 +252,78 @@ type EvalResult struct {
 // MissRate returns the overall data-cache miss rate (percent).
 func (r *EvalResult) MissRate() float64 { return r.Stats.MissRate() }
 
-// EvalPass replays the workload under the given layout kind. For
-// LayoutCCDP, pr and pm supply the profile and placement; they are ignored
-// otherwise. refsHint sizes the working-set window; pass 0 to have the
-// pass count references first.
-func EvalPass(w workload.Workload, in workload.Input, kind LayoutKind, pr *ProfileResult, pm *placement.Map, opts Options, refsHint uint64) (*EvalResult, error) {
-	if opts.TrackPages && refsHint == 0 {
-		refsHint = CountRefs(w, in, opts)
-	}
-	return EvalFrom(Live(w, in, opts), w.Name(), w.HeapPlacement(), in, kind, pr, pm, opts, refsHint)
+// HierarchyResult is the outcome of one hierarchy member's evaluation:
+// the "other levels of the memory hierarchy" study the paper sketches at
+// the end of section 5.1.
+type HierarchyResult struct {
+	Workload string
+	Input    workload.Input
+	Layout   LayoutKind
+	Stats    hierarchy.Stats
+
+	// Attribution holds the L1 miss attribution (nil unless
+	// Options.Attribution): the same per-set counters and conflict-pair
+	// sketch a single-level member reports.
+	Attribution *cache.AttributionStats
 }
 
-// EvalFrom runs one evaluation pass over any event source — the live
-// model or a trace replay. wname labels the result; heapPlace selects the
-// CCDP custom allocator (the per-program heap-placement choice the live
-// pipeline reads from Workload.HeapPlacement). With opts.TrackPages the
-// caller must supply the exact refsHint — a replay cannot be re-driven to
-// count; use CountRefsFrom on a second stream of the same trace.
-func EvalFrom(src EventStream, wname string, heapPlace bool, in workload.Input, kind LayoutKind, pr *ProfileResult, pm *placement.Map, opts Options, refsHint uint64) (*EvalResult, error) {
-	res, err := EvalLayouts(src, wname, heapPlace, in, []LayoutKind{kind}, pr, pm, opts, refsHint)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
+// Pass is one evaluation pass over a stream: the labels its results
+// carry, the profile and placement its CCDP layouts read, and the groups
+// it feeds.
+type Pass struct {
+	Workload string
+	Input    workload.Input
+	// HeapPlace selects the CCDP custom allocator: the per-program
+	// heap-placement choice the live pipeline reads from
+	// Workload.HeapPlacement.
+	HeapPlace bool
+	// Profile and Placement are required only by LayoutCCDP groups.
+	Profile   *ProfileResult
+	Placement *placement.Map
+	Groups    []GroupSpec
 }
 
-// EvalLayouts is EvalFrom for several layout kinds over one drive of src:
-// one Enricher feeds one Group per kind, each with its own layout,
-// allocator, cache model and page tracker. Results come back in kinds
-// order, each byte-identical to EvalFrom's, and the collector sees one
-// StageEval span per kind, each covering the shared pass.
-func EvalLayouts(src EventStream, wname string, heapPlace bool, in workload.Input, kinds []LayoutKind, pr *ProfileResult, pm *placement.Map, opts Options, refsHint uint64) ([]*EvalResult, error) {
-	for range kinds {
+// GroupSpec is one group of a pass: a layout and the members it feeds.
+// No members means one single-level member of Options.Cache.
+type GroupSpec struct {
+	Layout  LayoutKind
+	Members []Member
+}
+
+// Run drives src once, the one way to run an evaluation pass: one
+// Enricher feeds one Group per spec, each with its own layout, allocator
+// and members, and with opts.TrackPages its own page tracker. out[g][m]
+// is the result of p.Groups[g].Members[m], byte-identical to a pass of
+// that member alone. The collector sees one StageEval span per group,
+// each covering the shared pass.
+func Run(src EventStream, p Pass, opts Options) ([][]MemberResult, error) {
+	for range p.Groups {
 		defer opts.Metrics.Start(metrics.StageEval).Stop()
 	}
 	defer src.Close()
 
 	table := src.Objects()
-	gs := make(groups, len(kinds))
-	for i, kind := range kinds {
-		lay, alloc, err := BuildLayout(table, kind, heapPlace, pr, pm, opts)
+	gs := make(groups, len(p.Groups))
+	sims := make([][]MemberSim, len(p.Groups))
+	for i, spec := range p.Groups {
+		lay, alloc, err := BuildLayout(table, spec.Layout, p.HeapPlace, p.Profile, p.Placement, opts)
 		if err != nil {
 			return nil, err
 		}
 		gs[i].SetLayout(table, lay, alloc)
-		if _, err := gs[i].AddSim(opts, table.Len()); err != nil {
-			return nil, err
+		members := spec.Members
+		if len(members) == 0 {
+			members = []Member{{Cache: opts.Cache}}
+		}
+		for _, m := range members {
+			ms, err := gs[i].Add(m, opts, table.Len())
+			if err != nil {
+				return nil, err
+			}
+			sims[i] = append(sims[i], ms)
 		}
 		if opts.TrackPages {
-			gs[i].Pages = vmpage.NewTracker(uint64(float64(refsHint) * opts.PageWindowFrac))
+			gs[i].Pages = vmpage.NewTracker(opts.PageWindowFrac)
 		}
 	}
 	en := trace.NewEnricher(table, gs)
@@ -307,19 +331,37 @@ func EvalLayouts(src EventStream, wname string, heapPlace bool, in workload.Inpu
 		return nil, err
 	}
 
-	out := make([]*EvalResult, len(kinds))
-	for i, kind := range kinds {
-		res := gs[i].Result(gs[i].Sims[0], en, kind)
-		res.Workload, res.Input = wname, in
-		if m := opts.Metrics; m != nil {
-			m.Add(metrics.SimAccesses, res.Stats.Accesses)
-			m.Add(metrics.SimMisses, res.Stats.Misses)
-			m.AddNamed("sim.hits."+string(kind), res.Stats.Accesses-res.Stats.Misses)
-			m.AddNamed("sim.misses."+string(kind), res.Stats.Misses)
+	out := make([][]MemberResult, len(p.Groups))
+	for i, spec := range p.Groups {
+		for _, ms := range sims[i] {
+			r := gs[i].Result(ms, en, spec.Layout)
+			if res := r.Eval; res != nil {
+				res.Workload, res.Input = p.Workload, p.Input
+				if m := opts.Metrics; m != nil {
+					m.Add(metrics.SimAccesses, res.Stats.Accesses)
+					m.Add(metrics.SimMisses, res.Stats.Misses)
+					m.AddNamed("sim.hits."+string(spec.Layout), res.Stats.Accesses-res.Stats.Misses)
+					m.AddNamed("sim.misses."+string(spec.Layout), res.Stats.Misses)
+				}
+			} else {
+				r.Hier.Workload, r.Hier.Input = p.Workload, p.Input
+			}
+			out[i] = append(out[i], r)
 		}
-		out[i] = res
 	}
 	return out, nil
+}
+
+// EvalFrom is Run for one group of one single-level member of
+// opts.Cache, under layout kind. wname and in label the result, and
+// heapPlace, pr and pm are Pass's HeapPlace, Profile and Placement.
+// refsHint is unused: the page tracker sizes its window after the pass.
+func EvalFrom(src EventStream, wname string, heapPlace bool, in workload.Input, kind LayoutKind, pr *ProfileResult, pm *placement.Map, opts Options, refsHint uint64) (*EvalResult, error) {
+	res, err := Run(src, Pass{Workload: wname, Input: in, HeapPlace: heapPlace, Profile: pr, Placement: pm, Groups: []GroupSpec{{Layout: kind}}}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[0][0].Eval, nil
 }
 
 // BuildLayout materializes the address layout and heap allocator for one
@@ -369,25 +411,4 @@ func baseAllocator(fit string) (heapsim.Allocator, error) {
 	default:
 		return nil, fmt.Errorf("sim: unknown heap fit %q (want first or temporal)", fit)
 	}
-}
-
-// CountRefs runs the workload with only a counter attached and returns the
-// total reference count (used to size working-set windows). It is a sizing
-// utility, not a pipeline stage, so it never feeds the metrics collector.
-func CountRefs(w workload.Workload, in workload.Input, opts Options) uint64 {
-	opts.Metrics = nil
-	n, _ := CountRefsFrom(Live(w, in, opts)) // a live run cannot fail
-	return n
-}
-
-// CountRefsFrom counts the references of any event source. Like CountRefs
-// it is a sizing utility: callers should hand it a stream built with a nil
-// metrics collector so the extra pass does not double-count.
-func CountRefsFrom(src EventStream) (uint64, error) {
-	defer src.Close()
-	counter := trace.NewCounter(src.Objects())
-	if err := src.Drive(counter); err != nil {
-		return 0, err
-	}
-	return counter.Refs(), nil
 }

@@ -6,8 +6,40 @@ import (
 	"repro/internal/cache"
 	"repro/internal/hierarchy"
 	"repro/internal/object"
+	"repro/internal/placement"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// evalLive is one independent live pass of one layout.
+func evalLive(w workload.Workload, in workload.Input, kind LayoutKind, pr *ProfileResult, pm *placement.Map, opts Options) (*EvalResult, error) {
+	return EvalFrom(Live(w, in, opts), w.Name(), w.HeapPlacement(), in, kind, pr, pm, opts, 0)
+}
+
+// hierLive is one independent live pass of one layout through an
+// L1+L2+TLB hierarchy.
+func hierLive(w workload.Workload, in workload.Input, kind LayoutKind, pr *ProfileResult, pm *placement.Map, hcfg hierarchy.Config, opts Options) (*HierarchyResult, error) {
+	res, err := Run(Live(w, in, opts), Pass{
+		Workload: w.Name(), Input: in, HeapPlace: w.HeapPlacement(), Profile: pr, Placement: pm,
+		Groups: []GroupSpec{{Layout: kind, Members: []Member{{Hier: &hcfg}}}},
+	}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[0][0].Hier, nil
+}
+
+// countRefs drives src into a plain trace.Counter and returns its
+// reference count.
+func countRefs(t *testing.T, src EventStream) uint64 {
+	t.Helper()
+	defer src.Close()
+	c := trace.NewCounter(src.Objects())
+	if err := src.Drive(c); err != nil {
+		t.Fatal(err)
+	}
+	return c.Refs()
+}
 
 func quickInput(w workload.Workload, frac float64) workload.Input {
 	in := w.Train()
@@ -43,7 +75,7 @@ func TestProfilePassProducesProfile(t *testing.T) {
 
 func TestEvalPassNatural(t *testing.T) {
 	w, _ := workload.Get("compress")
-	res, err := EvalPass(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions(), 0)
+	res, err := evalLive(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +90,11 @@ func TestEvalPassNatural(t *testing.T) {
 func TestEvalPassDeterministic(t *testing.T) {
 	w, _ := workload.Get("espresso")
 	in := quickInput(w, 0.05)
-	r1, err := EvalPass(w, in, LayoutNatural, nil, nil, DefaultOptions(), 0)
+	r1, err := evalLive(w, in, LayoutNatural, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := EvalPass(w, in, LayoutNatural, nil, nil, DefaultOptions(), 0)
+	r2, err := evalLive(w, in, LayoutNatural, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,29 +106,15 @@ func TestEvalPassDeterministic(t *testing.T) {
 
 func TestEvalPassCCDPRequiresProfile(t *testing.T) {
 	w, _ := workload.Get("compress")
-	if _, err := EvalPass(w, quickInput(w, 0.01), LayoutCCDP, nil, nil, DefaultOptions(), 0); err == nil {
+	if _, err := evalLive(w, quickInput(w, 0.01), LayoutCCDP, nil, nil, DefaultOptions()); err == nil {
 		t.Fatal("CCDP evaluation without a profile did not error")
 	}
 }
 
 func TestEvalPassUnknownLayout(t *testing.T) {
 	w, _ := workload.Get("compress")
-	if _, err := EvalPass(w, quickInput(w, 0.01), LayoutKind("bogus"), nil, nil, DefaultOptions(), 0); err == nil {
+	if _, err := evalLive(w, quickInput(w, 0.01), LayoutKind("bogus"), nil, nil, DefaultOptions()); err == nil {
 		t.Fatal("unknown layout accepted")
-	}
-}
-
-func TestCountRefsMatchesEval(t *testing.T) {
-	w, _ := workload.Get("fpppp")
-	in := quickInput(w, 0.05)
-	opts := DefaultOptions()
-	n := CountRefs(w, in, opts)
-	res, err := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != res.Counter.Refs() {
-		t.Fatalf("CountRefs %d != eval refs %d", n, res.Counter.Refs())
 	}
 }
 
@@ -114,11 +132,11 @@ func TestFullPipelineImprovesConflictWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
+	nat, err := evalLive(w, in, LayoutNatural, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccdp, err := EvalPass(w, in, LayoutCCDP, pr, pm, opts, 0)
+	ccdp, err := evalLive(w, in, LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +162,8 @@ func TestMgridPlacementNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, _ := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
-	ccdp, err := EvalPass(w, in, LayoutCCDP, pr, pm, opts, 0)
+	nat, _ := evalLive(w, in, LayoutNatural, nil, nil, opts)
+	ccdp, err := evalLive(w, in, LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +187,8 @@ func TestCrossInputPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	testIn := quickTestInput(w, 0.3)
-	nat, _ := EvalPass(w, testIn, LayoutNatural, nil, nil, opts, 0)
-	ccdp, err := EvalPass(w, testIn, LayoutCCDP, pr, pm, opts, 0)
+	nat, _ := evalLive(w, testIn, LayoutNatural, nil, nil, opts)
+	ccdp, err := evalLive(w, testIn, LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +221,7 @@ func TestTrackPagesPopulatesPaging(t *testing.T) {
 	w, _ := workload.Get("espresso")
 	opts := DefaultOptions()
 	opts.TrackPages = true
-	res, err := EvalPass(w, quickInput(w, 0.05), LayoutNatural, nil, nil, opts, 0)
+	res, err := evalLive(w, quickInput(w, 0.05), LayoutNatural, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +235,7 @@ func TestTrackPagesPopulatesPaging(t *testing.T) {
 
 func TestCategoryRatesSumToTotal(t *testing.T) {
 	w, _ := workload.Get("gcc")
-	res, err := EvalPass(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions(), 0)
+	res, err := evalLive(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +250,7 @@ func TestCategoryRatesSumToTotal(t *testing.T) {
 
 func TestObjectStatsCoverHeapObjects(t *testing.T) {
 	w, _ := workload.Get("deltablue")
-	res, err := EvalPass(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions(), 0)
+	res, err := evalLive(w, quickInput(w, 0.05), LayoutNatural, nil, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +278,11 @@ func TestEvalHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	hcfg := hierarchy.DefaultConfig()
-	nat, err := EvalHierarchy(w, in, LayoutNatural, nil, nil, hcfg, opts)
+	nat, err := hierLive(w, in, LayoutNatural, nil, nil, hcfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccdp, err := EvalHierarchy(w, in, LayoutCCDP, pr, pm, hcfg, opts)
+	ccdp, err := hierLive(w, in, LayoutCCDP, pr, pm, hcfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +298,7 @@ func TestEvalHierarchy(t *testing.T) {
 			ccdp.Stats.L1.MissRate(), nat.Stats.L1.MissRate())
 	}
 	// Requesting CCDP without artifacts must error.
-	if _, err := EvalHierarchy(w, in, LayoutCCDP, nil, nil, hcfg, opts); err == nil {
+	if _, err := hierLive(w, in, LayoutCCDP, nil, nil, hcfg, opts); err == nil {
 		t.Fatal("hierarchy CCDP without profile accepted")
 	}
 }
@@ -305,11 +323,11 @@ func TestAssociativeTargetPipeline(t *testing.T) {
 	if pm.Period() != 4096 {
 		t.Fatalf("period %d, want 4096 for a 2-way 8K target", pm.Period())
 	}
-	nat, err := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
+	nat, err := evalLive(w, in, LayoutNatural, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccdp, err := EvalPass(w, in, LayoutCCDP, pr, pm, opts, 0)
+	ccdp, err := evalLive(w, in, LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

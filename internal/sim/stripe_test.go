@@ -208,14 +208,17 @@ func TestStrippedGroupMatchesAccessReplay(t *testing.T) {
 			for i, m := range members {
 				opts := DefaultOptions()
 				opts.Cache, opts.Classify, opts.Attribution = m.cfg, m.classify, m.attribution
-				if got[i], err = g.AddSim(opts, n); err != nil {
+				ms, err := g.Add(Member{Cache: m.cfg}, opts, n)
+				if err != nil {
 					t.Fatal(err)
 				}
+				got[i] = ms.Cache
 			}
-			gotHier, err := g.AddHier(hcfg, DefaultOptions(), n)
+			ms, err := g.Add(Member{Hier: &hcfg}, DefaultOptions(), n)
 			if err != nil {
 				t.Fatal(err)
 			}
+			gotHier := ms.Hier
 			f.replay(&g)
 			var levels [][3]int
 			for _, lv := range g.levels {
@@ -318,7 +321,7 @@ func TestStrippedStepsMatchFilterMisses(t *testing.T) {
 			for _, cfg := range cfgs {
 				opts := DefaultOptions()
 				opts.Cache = cfg
-				if _, err := g.AddSim(opts, n); err != nil {
+				if _, err := g.Add(Member{Cache: cfg}, opts, n); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -3,7 +3,6 @@ package sim
 import (
 	"io"
 
-	"repro/internal/placement"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -37,16 +36,4 @@ func ProfileFromTrace(r io.Reader, opts Options) (*ProfileResult, error) {
 		return nil, err
 	}
 	return ProfileFrom(src, opts)
-}
-
-// EvalFromTrace replays a recorded trace through the cache simulator under
-// the given layout. customAlloc selects the CCDP custom allocator for
-// LayoutCCDP (mirroring the per-program heap-placement choice the live
-// pipeline takes from Workload.HeapPlacement).
-func EvalFromTrace(r io.Reader, kind LayoutKind, pr *ProfileResult, pm *placement.Map, customAlloc bool, opts Options) (*EvalResult, error) {
-	src, err := OpenReplay(r, opts)
-	if err != nil {
-		return nil, err
-	}
-	return EvalFrom(src, "", customAlloc, workload.Input{}, kind, pr, pm, opts, 0)
 }

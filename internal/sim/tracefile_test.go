@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/placement"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -23,9 +24,18 @@ func recordSmallTrace(t *testing.T, name string, frac float64) (*bytes.Buffer, w
 	return &buf, w, in
 }
 
+// evalTrace is one independent pass of one layout over a recorded trace.
+func evalTrace(raw []byte, kind LayoutKind, pr *ProfileResult, pm *placement.Map, heapPlace bool, opts Options) (*EvalResult, error) {
+	src, err := OpenReplay(bytes.NewReader(raw), opts)
+	if err != nil {
+		return nil, err
+	}
+	return EvalFrom(src, "", heapPlace, workload.Input{}, kind, pr, pm, opts, 0)
+}
+
 func TestRecordedTraceReplaysIdenticalCounts(t *testing.T) {
 	buf, w, in := recordSmallTrace(t, "espresso", 0.05)
-	live := CountRefs(w, in, DefaultOptions())
+	live := countRefs(t, Live(w, in, DefaultOptions()))
 
 	tr, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -68,11 +78,11 @@ func TestEvalFromTraceMatchesLiveEval(t *testing.T) {
 	buf, w, in := recordSmallTrace(t, "m88ksim", 0.05)
 	opts := DefaultOptions()
 
-	live, err := EvalPass(w, in, LayoutNatural, nil, nil, opts, 0)
+	live, err := evalLive(w, in, LayoutNatural, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := EvalFromTrace(bytes.NewReader(buf.Bytes()), LayoutNatural, nil, nil, false, opts)
+	replayed, err := evalTrace(buf.Bytes(), LayoutNatural, nil, nil, false, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +108,11 @@ func TestFullPipelineFromTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := EvalFromTrace(bytes.NewReader(raw), LayoutNatural, nil, nil, false, opts)
+	nat, err := evalTrace(raw, LayoutNatural, nil, nil, false, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccdp, err := EvalFromTrace(bytes.NewReader(raw), LayoutCCDP, pr, pm, w.HeapPlacement(), opts)
+	ccdp, err := evalTrace(raw, LayoutCCDP, pr, pm, w.HeapPlacement(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestFullPipelineFromTrace(t *testing.T) {
 	}
 
 	// And it must agree exactly with the live pipeline.
-	liveCCDP, err := EvalPass(w, in, LayoutCCDP, pr, pm, opts, 0)
+	liveCCDP, err := evalLive(w, in, LayoutCCDP, pr, pm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

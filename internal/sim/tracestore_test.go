@@ -69,7 +69,7 @@ func TestTraceStoreOpenRoundTrip(t *testing.T) {
 	mc := metrics.New()
 	ts := NewTraceStore(TraceConfig{Dir: t.TempDir()}, w, mc)
 
-	live := CountRefs(w, in, opts)
+	live := countRefs(t, Live(w, in, opts))
 	for _, pass := range []string{"record", "replay"} {
 		src, err := ts.Open(in, opts)
 		if err != nil {
@@ -78,11 +78,7 @@ func TestTraceStoreOpenRoundTrip(t *testing.T) {
 		if !src.Replayed() {
 			t.Fatalf("%s: stream not marked replayed", pass)
 		}
-		refs, err := CountRefsFrom(src)
-		if err != nil {
-			t.Fatalf("%s: drive: %v", pass, err)
-		}
-		if refs != live {
+		if refs := countRefs(t, src); refs != live {
 			t.Fatalf("%s: replayed %d refs, live run %d", pass, refs, live)
 		}
 	}

@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"repro/internal/addrspace"
-	"repro/internal/cache"
 	"repro/internal/exec"
-	"repro/internal/hierarchy"
 	"repro/internal/metrics"
 	"repro/internal/object"
 	"repro/internal/placement"
@@ -146,8 +144,7 @@ func (p *Prep) progress(mutate func(*Progress)) {
 // Hier is set, matching Cell.L2.
 type CellResult struct {
 	Cell Cell
-	Eval *sim.EvalResult
-	Hier *sim.HierarchyResult
+	sim.MemberResult
 }
 
 // MissRatePct is the cell's headline miss rate: the L1 miss rate for
@@ -681,17 +678,16 @@ func (p *Prep) broadcastProfiles(keys []string, optsFor map[string]sim.Options, 
 
 // memberSim is one cell's private simulator inside a layout group.
 type memberSim struct {
-	cs *cache.Sim     // set for single-level cells
-	hs *hierarchy.Sim // set for hierarchy cells
-	g  *layoutGroup
+	sim.MemberSim
+	g *layoutGroup
 }
 
 // layoutGroup owns one effective layout: a sim.Group — the resolved
 // address space (static addresses, heap allocator, clock) shared by every
 // member cell — plus the prep wiring that carves it. The identity of the
 // grouping key (layout kind, placement, allocator variant, seed) makes
-// every member byte-identical to an independent sim.EvalFrom replay,
-// which runs the same resolver with a single member.
+// every member byte-identical to an independent sim.Run of that member
+// alone, which runs the same resolver.
 type layoutGroup struct {
 	sim.Group
 
@@ -859,17 +855,11 @@ func (p *Prep) buildGroups(table *object.Table, parallel int) ([]*layoutGroup, [
 			byKey[key] = g
 			groups = append(groups, g)
 		}
-		m := &memberSim{g: g}
-		var err error
-		if cell.L2 == nil {
-			m.cs, err = g.AddSim(opts, table.Len())
-		} else {
-			m.hs, err = g.AddHier(hierarchy.Config{L1: cell.Cache, L2: *cell.L2, TLBEntries: cell.TLB}, opts, table.Len())
-		}
+		ms, err := g.Add(cell.member(), opts, table.Len())
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("sweep: cell %d (%s): %w", i, cell.Label(), err)
 		}
-		memberOf[i] = m
+		memberOf[i] = &memberSim{MemberSim: ms, g: g}
 	}
 
 	// Non-CCDP groups carved their layouts inline above; CCDP groups
@@ -1063,8 +1053,8 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 	table := src.Objects()
 
 	// Layouts and static addresses depend only on the static objects the
-	// trace header declares, exactly as sim.EvalFrom builds them before
-	// the first event.
+	// trace header declares, exactly as sim.Run builds them before the
+	// first event.
 	groups, memberOf, acct, err := p.buildGroups(table, parallel)
 	if err != nil {
 		return nil, err
@@ -1125,13 +1115,7 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 	}
 	for i, cell := range p.cells {
 		m := memberOf[i]
-		cr := CellResult{Cell: cell}
-		if m.cs != nil {
-			cr.Eval = m.g.Result(m.cs, bc.en, cell.Layout)
-		} else {
-			cr.Hier = sim.HierResult(m.hs, cell.Layout)
-		}
-		res.Cells[i] = cr
+		res.Cells[i] = CellResult{Cell: cell, MemberResult: m.g.Result(m.MemberSim, bc.en, cell.Layout)}
 		p.progress(func(pr *Progress) {
 			pr.Phase = "replay"
 			pr.CellsDone = i + 1
@@ -1148,11 +1132,11 @@ func (p *Prep) RunShared(parallel int) (*Result, error) {
 
 // RunIndependent executes the same sweep the pre-engine way: prep is
 // materialized in full (every profile and placement resident at once),
-// then every cell replays and decodes the trace for itself
-// (sim.EvalFrom / sim.EvalHierarchyFrom over its own stream), fanned
-// across parallel workers. This is the baseline the shared engine's
-// speedup is measured against — prep included on both sides — and the
-// oracle its results are diffed against.
+// then every cell replays and decodes the trace for itself (a sim.Run of
+// one group of one member over its own stream), fanned across parallel
+// workers. This is the baseline the shared engine's speedup is measured
+// against — prep included on both sides — and the oracle its results are
+// diffed against.
 func (p *Prep) RunIndependent(parallel int) (*Result, error) {
 	mc := p.req.Options.Metrics
 	start := time.Now()
@@ -1173,17 +1157,15 @@ func (p *Prep) RunIndependent(parallel int) (*Result, error) {
 			if err != nil {
 				return CellResult{}, err
 			}
-			cr := CellResult{Cell: cell}
-			if cell.L2 == nil {
-				cr.Eval, err = sim.EvalFrom(src, "", p.heapPlace, workload.Input{}, cell.Layout, p.prs[i], p.pms[i], opts, 0)
-			} else {
-				hcfg := hierarchy.Config{L1: cell.Cache, L2: *cell.L2, TLBEntries: cell.TLB}
-				cr.Hier, err = sim.EvalHierarchyFrom(src, "", p.heapPlace, workload.Input{}, cell.Layout, p.prs[i], p.pms[i], hcfg, opts)
+			out, err := sim.Run(src, sim.Pass{
+				HeapPlace: p.heapPlace, Profile: p.prs[i], Placement: p.pms[i],
+				Groups: []sim.GroupSpec{{Layout: cell.Layout, Members: []sim.Member{cell.member()}}},
+			}, opts)
+			if err != nil {
+				return CellResult{}, err
 			}
-			if err == nil {
-				p.progress(func(pr *Progress) { pr.CellsDone++ })
-			}
-			return cr, err
+			p.progress(func(pr *Progress) { pr.CellsDone++ })
+			return CellResult{Cell: cell, MemberResult: out[0][0]}, nil
 		}
 	}
 	cells, err := exec.Map(p.ctx(), parallel, mc, tasks)

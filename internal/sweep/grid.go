@@ -7,7 +7,7 @@
 // and broadcasts refcounted batches to per-configuration evaluators, so
 // N grid cells cost one decode plus N cheap simulation loops instead of
 // N full replays. Every cell's result is byte-identical to an
-// independent sim.EvalFromTrace run of the same configuration; the
+// independent sim.Run of that one cell over its own replay; the
 // differential tests hold the engine to that.
 package sweep
 
@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/cache"
+	"repro/internal/hierarchy"
 	"repro/internal/profile"
 	"repro/internal/sim"
 )
@@ -78,6 +79,14 @@ type Cell struct {
 	// sink to this cell (the L1 on hierarchy cells). Off by default;
 	// the sweep CLI and tests switch it on per cell.
 	Attribution bool
+}
+
+// member is the cell's simulator in its layout group.
+func (c Cell) member() sim.Member {
+	if c.L2 == nil {
+		return sim.Member{Cache: c.Cache}
+	}
+	return sim.Member{Hier: &hierarchy.Config{L1: c.Cache, L2: *c.L2, TLBEntries: c.TLB}}
 }
 
 // Options derives the cell's evaluation options from the sweep's base

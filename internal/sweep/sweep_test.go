@@ -124,10 +124,11 @@ func TestSharedMatchesIndependentSkewedGroups(t *testing.T) {
 	}
 }
 
-// TestSharedMatchesEvalFromTrace holds the engine to the satellite's
-// letter: each single-level cell must byte-match a from-scratch
-// sim.EvalFromTrace over the raw trace bytes, and each hierarchy cell a
-// from-scratch sim.EvalHierarchyFrom, using the same prep products.
+// TestSharedMatchesEvalFromTrace holds the engine to an independent
+// replay per cell: each single-level cell must byte-match a from-scratch
+// sim.EvalFrom over a replay of the raw trace bytes, and each hierarchy
+// cell a from-scratch sim.Run of one hierarchy member, using the same
+// prep products.
 func TestSharedMatchesEvalFromTrace(t *testing.T) {
 	g := Grid{
 		Sizes:   []int64{8192},
@@ -144,28 +145,32 @@ func TestSharedMatchesEvalFromTrace(t *testing.T) {
 	}
 	for i, cell := range p.Cells() {
 		opts := p.cellOpts[i]
+		src, err := sim.OpenReplay(bytes.NewReader(p.testTrace), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if cell.L2 == nil {
-			oracle, err := sim.EvalFromTrace(bytes.NewReader(p.testTrace), cell.Layout, p.prs[i], p.pms[i], p.heapPlace, opts)
+			oracle, err := sim.EvalFrom(src, "", p.heapPlace, workload.Input{}, cell.Layout, p.prs[i], p.pms[i], opts, 0)
 			if err != nil {
 				t.Fatalf("cell %d: %v", i, err)
 			}
 			got := sim.EncodeEvalResult(shared.Cells[i].Eval)
 			want := sim.EncodeEvalResult(oracle)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("cell %d (%s) diverged from EvalFromTrace:\n--- sweep ---\n%s--- oracle ---\n%s",
+				t.Fatalf("cell %d (%s) diverged from an independent replay:\n--- sweep ---\n%s--- oracle ---\n%s",
 					i, cell.Label(), got, want)
 			}
 			continue
 		}
-		src, err := sim.OpenReplay(bytes.NewReader(p.testTrace), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		hcfg := hierarchy.Config{L1: cell.Cache, L2: *cell.L2, TLBEntries: cell.TLB}
-		oracle, err := sim.EvalHierarchyFrom(src, "", p.heapPlace, workload.Input{}, cell.Layout, p.prs[i], p.pms[i], hcfg, opts)
+		out, err := sim.Run(src, sim.Pass{
+			HeapPlace: p.heapPlace, Profile: p.prs[i], Placement: p.pms[i],
+			Groups: []sim.GroupSpec{{Layout: cell.Layout, Members: []sim.Member{{Hier: &hcfg}}}},
+		}, opts)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
+		oracle := out[0][0].Hier
 		got := sim.EncodeHierarchyResult(shared.Cells[i].Hier)
 		want := sim.EncodeHierarchyResult(oracle)
 		if !bytes.Equal(got, want) {
@@ -342,7 +347,11 @@ func TestAttributionIsolation(t *testing.T) {
 	}
 	opts := p.cellOpts[attributed]
 	cell := p.cells[attributed]
-	oracle, err := sim.EvalFromTrace(bytes.NewReader(p.testTrace), cell.Layout, p.prs[attributed], p.pms[attributed], p.heapPlace, opts)
+	src, err := sim.OpenReplay(bytes.NewReader(p.testTrace), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := sim.EvalFrom(src, "", p.heapPlace, workload.Input{}, cell.Layout, p.prs[attributed], p.pms[attributed], opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,6 +55,9 @@ go run ./cmd/ccdpbench -baseline bench_baseline.json -out "BENCH_local.json" -le
 echo "==> re-render ledger"
 go run ./cmd/tables -from-ledger "LEDGER_local.jsonl"
 
+echo "==> tables smoke"
+go run ./cmd/tables -scale 0.05 > /dev/null
+
 echo "==> debug endpoint smoke"
 go build -o /tmp/ccdpbench-ci ./cmd/ccdpbench
 /tmp/ccdpbench-ci -scale 0.2 -seq-compare=false -q -debug-addr 127.0.0.1:18080 -out /tmp/bench_debug.json &
